@@ -9,8 +9,8 @@
 //     positions must never shift. Edge removal therefore tombstones the slot
 //     instead of erasing it.
 //   * Every undirected edge has a dense EdgeId shared by both directions,
-//     which the update machinery (§5.4) uses for its reverse edge→object
-//     index.
+//     which the spanning trees store as parent edges and the update
+//     machinery (§5.4) uses to find the trees an edge belongs to.
 #ifndef DSIG_GRAPH_ROAD_NETWORK_H_
 #define DSIG_GRAPH_ROAD_NETWORK_H_
 

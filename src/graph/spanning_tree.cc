@@ -21,73 +21,33 @@ void SpanningForest::Build(ThreadPool* pool) {
   num_nodes_ = graph_->num_nodes();
   const size_t slots = objects_.size() * num_nodes_;
   dist_.assign(slots, kInfiniteWeight);
-  parent_.assign(slots, kInvalidNode);
   parent_edge_.assign(slots, kInvalidEdge);
-  reverse_index_.assign(graph_->num_edge_slots(), {});
 
-  // The per-object Dijkstras are independent and dominate construction time
-  // (§5.2); run them on the shared pool (steal-balanced: a central object's
-  // Dijkstra settles far more nodes than a peripheral one's). Each writes a
-  // disjoint row-major slice; only the shared reverse index is filled
-  // serially afterwards.
+  // The per-object Dijkstras are independent (§5.2); run them on the shared
+  // pool (steal-balanced: a central object's Dijkstra settles far more nodes
+  // than a peripheral one's). Each writes a disjoint row-major slice.
   if (pool == nullptr) pool = &ThreadPool::Global();
   pool->ParallelFor(objects_.size(), [&](size_t o) {
     const ShortestPathTree tree = RunDijkstra(*graph_, objects_[o]);
     for (NodeId n = 0; n < num_nodes_; ++n) {
       const size_t slot = Slot(static_cast<uint32_t>(o), n);
       dist_[slot] = tree.dist[n];
-      parent_[slot] = tree.parent[n];
       parent_edge_[slot] = tree.parent_edge[n];
     }
   });
-  for (uint32_t o = 0; o < objects_.size(); ++o) {
-    for (NodeId n = 0; n < num_nodes_; ++n) {
-      const EdgeId edge = parent_edge_[Slot(o, n)];
-      if (edge != kInvalidEdge) BumpEdgeUse(edge, o, +1);
-    }
-  }
   built_ = true;
 }
 
 std::vector<uint32_t> SpanningForest::ObjectsUsingEdge(EdgeId edge) const {
   std::vector<uint32_t> users;
-  if (edge >= reverse_index_.size()) return users;
-  users.reserve(reverse_index_[edge].size());
-  for (const auto& [object_index, count] : reverse_index_[edge]) {
-    if (count > 0) users.push_back(object_index);
-  }
-  return users;
-}
-
-void SpanningForest::BumpEdgeUse(EdgeId edge, uint32_t object_index,
-                                 int delta) {
-  auto& users = reverse_index_[edge];
-  for (auto& [obj, count] : users) {
-    if (obj == object_index) {
-      DSIG_CHECK_GE(static_cast<int64_t>(count) + delta, 0);
-      count = static_cast<uint32_t>(static_cast<int64_t>(count) + delta);
-      return;
+  if (edge >= graph_->num_edge_slots()) return users;
+  const auto [a, b] = graph_->edge_endpoints(edge);
+  for (uint32_t o = 0; o < objects_.size(); ++o) {
+    if (parent_edge_[Slot(o, a)] == edge || parent_edge_[Slot(o, b)] == edge) {
+      users.push_back(o);
     }
   }
-  DSIG_CHECK_GT(delta, 0);
-  users.push_back({object_index, static_cast<uint32_t>(delta)});
-}
-
-void SpanningForest::SetParentEdge(uint32_t object_index, NodeId n,
-                                   EdgeId edge) {
-  EnsureReverseIndexSize();
-  const size_t slot = Slot(object_index, n);
-  const EdgeId old_edge = parent_edge_[slot];
-  if (old_edge == edge) return;
-  parent_edge_[slot] = edge;
-  if (old_edge != kInvalidEdge) BumpEdgeUse(old_edge, object_index, -1);
-  if (edge != kInvalidEdge) BumpEdgeUse(edge, object_index, +1);
-}
-
-void SpanningForest::EnsureReverseIndexSize() {
-  if (reverse_index_.size() < graph_->num_edge_slots()) {
-    reverse_index_.resize(graph_->num_edge_slots());
-  }
+  return users;
 }
 
 std::vector<NodeId> SpanningForest::CollectSubtree(uint32_t object_index,
@@ -96,12 +56,11 @@ std::vector<NodeId> SpanningForest::CollectSubtree(uint32_t object_index,
   for (size_t i = 0; i < subtree.size(); ++i) {
     const NodeId u = subtree[i];
     for (const AdjacencyEntry& entry : graph_->adjacency(u)) {
-      // `entry.to` is a child of u in this tree iff u is its parent *via this
-      // very edge* (parallel edges make the edge check necessary). Removed
-      // edges can still be tree edges right after RemoveEdge — that is
-      // exactly the case the caller is repairing.
-      const size_t slot = Slot(object_index, entry.to);
-      if (parent_[slot] == u && parent_edge_[slot] == entry.edge_id) {
+      // `entry.to` is a child of u in this tree iff its parent edge is this
+      // very edge (which also tells parallel edges apart). Removed edges can
+      // still be tree edges right after RemoveEdge — that is exactly the case
+      // the caller is repairing.
+      if (parent_edge_[Slot(object_index, entry.to)] == entry.edge_id) {
         subtree.push_back(entry.to);
       }
     }
@@ -113,7 +72,6 @@ std::vector<TreeChange> SpanningForest::OnEdgeAddedOrDecreased(EdgeId edge) {
   DSIG_CHECK(built_);
   DSIG_CHECK_EQ(num_nodes_, graph_->num_nodes())
       << "nodes were added after Build(); rebuild the forest";
-  EnsureReverseIndexSize();
   const auto [ea, eb] = graph_->edge_endpoints(edge);
   const Weight w = graph_->edge_weight(edge);
 
@@ -131,8 +89,7 @@ std::vector<TreeChange> SpanningForest::OnEdgeAddedOrDecreased(EdgeId edge) {
       const Weight nd = dist_[from_slot] + weight;
       if (nd < dist_[to_slot]) {
         dist_[to_slot] = nd;
-        parent_[to_slot] = from;
-        SetParentEdge(o, to, via);
+        parent_edge_[to_slot] = via;
         changes.push_back({o, to});
         queue.push_back(to);
       }
@@ -166,29 +123,25 @@ std::vector<TreeChange> SpanningForest::OnEdgeIncreasedOrRemoved(EdgeId edge) {
   DSIG_CHECK(built_);
   DSIG_CHECK_EQ(num_nodes_, graph_->num_nodes())
       << "nodes were added after Build(); rebuild the forest";
-  EnsureReverseIndexSize();
-  // Only trees routing through this edge are affected (reverse index, §5.4.2).
+  // Only trees routing through this edge are affected (§5.4.2).
   const std::vector<uint32_t> affected = ObjectsUsingEdge(edge);
 
+  const auto [ea, eb] = graph_->edge_endpoints(edge);
   std::vector<TreeChange> changes;
   for (const uint32_t o : affected) {
-    const auto [ea, eb] = graph_->edge_endpoints(edge);
     // The child endpoint is the one whose parent edge is this edge.
-    NodeId child = kInvalidNode;
-    if (parent_edge_[Slot(o, ea)] == edge) child = ea;
-    if (parent_edge_[Slot(o, eb)] == edge) child = eb;
-    if (child == kInvalidNode) continue;  // stale membership; nothing to do
+    const NodeId child = parent_edge_[Slot(o, ea)] == edge ? ea : eb;
 
     // Invalidate the whole subtree hanging below the weakened edge, then
     // repair it with a Dijkstra seeded from the frontier of intact nodes.
     const std::vector<NodeId> subtree = CollectSubtree(o, child);
     std::vector<bool> in_subtree(num_nodes_, false);
     std::vector<Weight> old_dist(subtree.size());
-    std::vector<NodeId> old_parent(subtree.size());
+    std::vector<EdgeId> old_parent_edge(subtree.size());
     for (size_t i = 0; i < subtree.size(); ++i) {
       in_subtree[subtree[i]] = true;
       old_dist[i] = dist_[Slot(o, subtree[i])];
-      old_parent[i] = parent_[Slot(o, subtree[i])];
+      old_parent_edge[i] = parent_edge_[Slot(o, subtree[i])];
       dist_[Slot(o, subtree[i])] = kInfiniteWeight;
     }
 
@@ -202,8 +155,7 @@ std::vector<TreeChange> SpanningForest::OnEdgeIncreasedOrRemoved(EdgeId edge) {
         const Weight nd = base + entry.weight;
         if (nd < dist_[Slot(o, s)]) {
           dist_[Slot(o, s)] = nd;
-          parent_[Slot(o, s)] = entry.to;
-          SetParentEdge(o, s, entry.edge_id);
+          parent_edge_[Slot(o, s)] = entry.edge_id;
           heap.push({nd, s});
         }
       }
@@ -219,8 +171,7 @@ std::vector<TreeChange> SpanningForest::OnEdgeIncreasedOrRemoved(EdgeId edge) {
         const Weight nd = d + entry.weight;
         if (nd < dist_[Slot(o, entry.to)]) {
           dist_[Slot(o, entry.to)] = nd;
-          parent_[Slot(o, entry.to)] = u;
-          SetParentEdge(o, entry.to, entry.edge_id);
+          parent_edge_[Slot(o, entry.to)] = entry.edge_id;
           heap.push({nd, entry.to});
         }
       }
@@ -229,13 +180,13 @@ std::vector<TreeChange> SpanningForest::OnEdgeIncreasedOrRemoved(EdgeId edge) {
       const NodeId s = subtree[i];
       if (dist_[Slot(o, s)] == kInfiniteWeight) {
         // Disconnected by the removal.
-        parent_[Slot(o, s)] = kInvalidNode;
-        SetParentEdge(o, s, kInvalidEdge);
+        parent_edge_[Slot(o, s)] = kInvalidEdge;
         changes.push_back({o, s});
       } else if (dist_[Slot(o, s)] != old_dist[i] ||
-                 parent_[Slot(o, s)] != old_parent[i]) {
+                 parent_edge_[Slot(o, s)] != old_parent_edge[i]) {
         // Distance changed, or the route (and hence the backtracking link)
-        // moved even though the distance survived.
+        // moved even though the distance survived — possibly onto a
+        // parallel edge to the same parent.
         changes.push_back({o, s});
       }
     }

@@ -1,15 +1,20 @@
 // Per-object shortest-path spanning trees with incremental maintenance.
 //
 // Signature construction (§5.2) builds the shortest-path spanning tree of
-// every object; signature maintenance (§5.4) keeps those trees — plus a
-// reverse index from each edge to the objects whose tree uses it — up to
-// date under edge insertions, removals, and weight changes. The forest is
-// the "intermediate result" the paper says to retain.
+// every object; signature maintenance (§5.4) keeps those trees up to date
+// under edge insertions, removals, and weight changes. The forest is the
+// "intermediate result" the paper says to retain.
+//
+// Each tree is stored as one parent edge per node and nothing else: a node's
+// parent is the far endpoint of its parent edge, and a tree uses edge (a, b)
+// iff that edge is the parent edge of a or of b. The paper's reverse
+// edge→object index (§5.4.2) is therefore an O(objects) probe of two slots
+// per tree, not a stored structure.
 //
 // Usage: mutate the RoadNetwork first (AddEdge / RemoveEdge / SetEdgeWeight),
 // then call the matching On* notification; it returns every (object, node)
-// pair whose distance or parent changed, which the signature layer translates
-// into category/link rewrites.
+// pair whose distance or parent edge changed, which the signature layer
+// translates into category/link rewrites.
 #ifndef DSIG_GRAPH_SPANNING_TREE_H_
 #define DSIG_GRAPH_SPANNING_TREE_H_
 
@@ -39,8 +44,8 @@ class SpanningForest {
   SpanningForest(const SpanningForest&) = delete;
   SpanningForest& operator=(const SpanningForest&) = delete;
 
-  // Runs one Dijkstra per object and fills the reverse edge index. The node
-  // count of the graph is frozen from this point on (edges may still change).
+  // Runs one Dijkstra per object. The node count of the graph is frozen from
+  // this point on (edges may still change).
   // The Dijkstras run on `pool` (nullptr = the process-wide pool); each
   // writes a disjoint row-major slice, so the result does not depend on the
   // pool size.
@@ -57,16 +62,21 @@ class SpanningForest {
 
   // Previous node on the path object -> n, i.e., n's parent in the object's
   // tree. In signature terms this is the *next hop from n toward the object*.
+  // kInvalidNode for the object itself and for unreachable nodes.
   NodeId parent(uint32_t object_index, NodeId n) const {
-    return parent_[Slot(object_index, n)];
+    const EdgeId edge = parent_edge(object_index, n);
+    if (edge == kInvalidEdge) return kInvalidNode;
+    const auto [a, b] = graph_->edge_endpoints(edge);
+    return a == n ? b : a;
   }
 
   EdgeId parent_edge(uint32_t object_index, NodeId n) const {
     return parent_edge_[Slot(object_index, n)];
   }
 
-  // Objects whose spanning tree currently traverses `edge` (§5.4's reverse
-  // index); empty for edges added after Build until a tree adopts them.
+  // Objects whose spanning tree currently traverses `edge` (§5.4.2's reverse
+  // index), in ascending order; derived from the parent edges of the edge's
+  // two endpoints.
   std::vector<uint32_t> ObjectsUsingEdge(EdgeId edge) const;
 
   // Notifications; the graph mutation must already be applied. Each returns
@@ -81,12 +91,8 @@ class SpanningForest {
     return static_cast<size_t>(object_index) * num_nodes_ + n;
   }
 
-  void SetParentEdge(uint32_t object_index, NodeId n, EdgeId edge);
-  void BumpEdgeUse(EdgeId edge, uint32_t object_index, int delta);
-  void EnsureReverseIndexSize();
-
   // Collects the subtree of object #object_index rooted at `root` (children
-  // discovered through adjacency + parent pointers).
+  // discovered through adjacency + parent edges).
   std::vector<NodeId> CollectSubtree(uint32_t object_index, NodeId root) const;
 
   const RoadNetwork* graph_;
@@ -96,12 +102,7 @@ class SpanningForest {
 
   // Row-major [object][node] arrays.
   std::vector<Weight> dist_;
-  std::vector<NodeId> parent_;
   std::vector<EdgeId> parent_edge_;
-
-  // edge id -> (object index, number of nodes whose parent edge it is).
-  // Counts make membership updates O(objects-per-edge) instead of O(nodes).
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> reverse_index_;
 };
 
 }  // namespace dsig

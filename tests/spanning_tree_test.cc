@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <set>
 
 #include "graph/dijkstra.h"
 #include "graph/graph_generator.h"
@@ -37,6 +37,34 @@ void ExpectForestMatchesDijkstra(const RoadNetwork& g,
   }
 }
 
+// Checks the lookups derived from the parent edges against brute force:
+// ObjectsUsingEdge(e) must list exactly the objects with some node whose
+// parent edge is e, and parent(o, n) must be the far end of parent_edge(o, n).
+void ExpectDerivedLookupsMatchParentEdges(const RoadNetwork& g,
+                                          const SpanningForest& forest) {
+  std::vector<std::set<uint32_t>> users(g.num_edge_slots());
+  for (uint32_t o = 0; o < forest.num_objects(); ++o) {
+    for (NodeId n = 0; n < g.num_nodes(); ++n) {
+      const EdgeId e = forest.parent_edge(o, n);
+      if (e == kInvalidEdge) {
+        EXPECT_EQ(forest.parent(o, n), kInvalidNode)
+            << "object " << o << " node " << n;
+        continue;
+      }
+      users[e].insert(o);
+      const auto [a, b] = g.edge_endpoints(e);
+      ASSERT_TRUE(a == n || b == n) << "object " << o << " node " << n;
+      EXPECT_EQ(forest.parent(o, n), a == n ? b : a)
+          << "object " << o << " node " << n;
+    }
+  }
+  for (EdgeId e = 0; e < g.num_edge_slots(); ++e) {
+    EXPECT_EQ(forest.ObjectsUsingEdge(e),
+              std::vector<uint32_t>(users[e].begin(), users[e].end()))
+        << "edge " << e;
+  }
+}
+
 TEST(SpanningForestTest, BuildMatchesDijkstra) {
   const RoadNetwork g = testing_util::MakeSevenNodeNetwork();
   SpanningForest forest(&g, {1, 5});
@@ -44,17 +72,35 @@ TEST(SpanningForestTest, BuildMatchesDijkstra) {
   ExpectForestMatchesDijkstra(g, forest);
 }
 
-TEST(SpanningForestTest, ReverseIndexCoversTreeEdges) {
+TEST(SpanningForestTest, DerivedLookupsMatchParentEdges) {
   const RoadNetwork g = testing_util::MakeSevenNodeNetwork();
+  SpanningForest forest(&g, {0, 4, 6});
+  forest.Build();
+  ExpectDerivedLookupsMatchParentEdges(g, forest);
+}
+
+// A repair that moves a node onto a parallel edge to the same parent keeps
+// its distance and parent node, but its parent edge (and so its signature
+// link) changed: the notification must report it.
+TEST(SpanningForestTest, MoveOntoParallelEdgeIsReported) {
+  RoadNetwork g;
+  for (int i = 0; i < 3; ++i) g.AddNode({static_cast<double>(i), 0});
+  const EdgeId first = g.AddEdge(0, 1, 5);
+  const EdgeId twin = g.AddEdge(0, 1, 5);
+  g.AddEdge(1, 2, 3);
   SpanningForest forest(&g, {0});
   forest.Build();
-  // Every non-root node's parent edge must list object 0.
-  for (NodeId n = 1; n < g.num_nodes(); ++n) {
-    const EdgeId e = forest.parent_edge(0, n);
-    ASSERT_NE(e, kInvalidEdge);
-    const std::vector<uint32_t> users = forest.ObjectsUsingEdge(e);
-    EXPECT_TRUE(std::find(users.begin(), users.end(), 0u) != users.end());
-  }
+  ASSERT_EQ(forest.parent_edge(0, 1), first);
+  g.SetEdgeWeight(first, 10);
+  const std::vector<TreeChange> changes =
+      forest.OnEdgeIncreasedOrRemoved(first);
+  EXPECT_EQ(forest.parent_edge(0, 1), twin);
+  EXPECT_EQ(forest.parent(0, 1), 0u);
+  EXPECT_EQ(forest.dist(0, 2), 8);
+  ASSERT_EQ(changes.size(), 1u);
+  EXPECT_EQ(changes[0].node, 1u);
+  ExpectForestMatchesDijkstra(g, forest);
+  ExpectDerivedLookupsMatchParentEdges(g, forest);
 }
 
 TEST(SpanningForestTest, WeightDecreasePropagates) {
@@ -115,7 +161,7 @@ TEST(SpanningForestTest, IncreaseOfUnusedEdgeChangesNothing) {
   forest.Build();
   // Find an edge no tree uses: 4-5 is not on any shortest path from 0
   // (d(0,5) = 12 via 0-1-2-5 = 12, tie with 0-3-4-5 = 12 — depends on the
-  // tie; use 1-4 instead if used). Pick an edge with empty reverse index.
+  // tie; use 1-4 instead if used). Pick an edge no tree uses.
   EdgeId unused = kInvalidEdge;
   for (EdgeId e = 0; e < g.num_edge_slots(); ++e) {
     if (forest.ObjectsUsingEdge(e).empty()) {
@@ -129,8 +175,9 @@ TEST(SpanningForestTest, IncreaseOfUnusedEdgeChangesNothing) {
   ExpectForestMatchesDijkstra(g, forest);
 }
 
-// Property: a random sequence of updates leaves the forest identical to a
-// freshly built one.
+// Property: a random sequence of updates — including parallel edges and
+// removals — leaves the forest identical to a freshly built one, and the
+// derived lookups consistent with the parent edges after every step.
 class SpanningForestUpdateTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SpanningForestUpdateTest, RandomUpdateSequenceMatchesRebuild) {
@@ -140,8 +187,8 @@ TEST_P(SpanningForestUpdateTest, RandomUpdateSequenceMatchesRebuild) {
   forest.Build();
 
   Random rng(GetParam() * 31 + 1);
-  for (int step = 0; step < 40; ++step) {
-    const int action = static_cast<int>(rng.NextUint64(3));
+  for (int step = 0; step < 60; ++step) {
+    const int action = static_cast<int>(rng.NextUint64(5));
     if (action == 0) {
       // Random new edge.
       const NodeId u = static_cast<NodeId>(rng.NextUint64(g.num_nodes()));
@@ -149,10 +196,22 @@ TEST_P(SpanningForestUpdateTest, RandomUpdateSequenceMatchesRebuild) {
       if (v == u) v = (v + 1) % static_cast<NodeId>(g.num_nodes());
       const EdgeId e = g.AddEdge(u, v, rng.NextInt(1, 10));
       forest.OnEdgeAddedOrDecreased(e);
+      ExpectDerivedLookupsMatchParentEdges(g, forest);
+      continue;
+    }
+    const EdgeId e = static_cast<EdgeId>(rng.NextUint64(g.num_edge_slots()));
+    if (g.edge_removed(e)) continue;
+    if (action == 1) {
+      // Parallel twin of a live edge, often with the same weight (a tie the
+      // original keeps until it is raised or removed).
+      const auto [u, v] = g.edge_endpoints(e);
+      const Weight w =
+          rng.NextUint64(2) == 0 ? g.edge_weight(e) : rng.NextInt(1, 10);
+      forest.OnEdgeAddedOrDecreased(g.AddEdge(u, v, w));
+    } else if (action == 2) {
+      g.RemoveEdge(e);
+      forest.OnEdgeIncreasedOrRemoved(e);
     } else {
-      const EdgeId e =
-          static_cast<EdgeId>(rng.NextUint64(g.num_edge_slots()));
-      if (g.edge_removed(e)) continue;
       const Weight old_w = g.edge_weight(e);
       const Weight new_w = rng.NextInt(1, 10);
       if (new_w == old_w) continue;
@@ -163,6 +222,7 @@ TEST_P(SpanningForestUpdateTest, RandomUpdateSequenceMatchesRebuild) {
         forest.OnEdgeIncreasedOrRemoved(e);
       }
     }
+    ExpectDerivedLookupsMatchParentEdges(g, forest);
   }
   ExpectForestMatchesDijkstra(g, forest);
 }
