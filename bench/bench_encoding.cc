@@ -6,17 +6,18 @@
 // compression flags ~70% of entries; compressed/encoded ~0.75-0.9.
 //
 // A second exhibit measures the codec kernels themselves: EncodeRow /
-// DecodeRow / DecodeEntry throughput (entries/s and MB/s of encoded bytes)
-// for each category-code scheme, on synthetic rows whose category
-// distribution matches the reverse-zero-padding premise (each category
-// outweighs all earlier ones). These rows gate the word-level kernel work:
-// every query decodes through this path.
+// TryDecodeRowStage / TryDecodeEntry throughput (entries/s and MB/s of
+// encoded bytes) for each category-code scheme, on synthetic rows whose
+// category distribution matches the reverse-zero-padding premise (each
+// category outweighs all earlier ones). These rows gate the word-level
+// kernel work: every query decodes through this path.
 #include "bench/bench_common.h"
 
 #include <bit>
 
 #include "core/cross_node.h"
 #include "core/encoding.h"
+#include "core/row_stage.h"
 #include "util/random.h"
 #include "util/simd/simd.h"
 
@@ -119,9 +120,12 @@ int main(int argc, char** argv) {
     });
     uint64_t encoded_bytes = 0;
     for (const EncodedRow& row : encoded) encoded_bytes += row.bytes.size();
+    // One reused stage, as a query loop's thread_local scratch is.
+    RowStage stage;
     const Measurement dec = MeasureItems(nullptr, decode_passes, [&](int) {
       for (const EncodedRow& row : encoded) {
-        sink += codec.DecodeRow(row).back().link;
+        sink += codec.TryDecodeRowStage(row, kEntriesPerRow, &stage);
+        sink += stage.links()[kEntriesPerRow - 1];
       }
     });
     const Measurement ent = MeasureItems(nullptr, decode_passes, [&](int) {
@@ -129,7 +133,7 @@ int main(int argc, char** argv) {
       for (const EncodedRow& row : encoded) {
         // Every 8th component: the checkpoint-scan path queries actually hit.
         for (uint32_t i = 0; i < kEntriesPerRow; i += 8) {
-          entry = codec.DecodeEntry(row, i, nullptr);
+          sink += codec.TryDecodeEntry(row, i, &entry, nullptr);
           sink += entry.link;
         }
       }

@@ -45,11 +45,13 @@ int main(int argc, char** argv) {
     size_t pairs = 0, decided = 0, correct = 0;
     const std::vector<NodeId> queries =
         RandomQueryNodes(graph, num_queries, seed + 2);
+    RowStage row;
     const Measurement m = MeasureItems(nullptr, queries, [&](NodeId q) {
-      const SignatureRow row = index->ReadRow(q);
+      index->ReadRowStaged(q, &row);
+      const uint8_t* categories = row.categories();
       for (uint32_t a = 0; a < objects.size() && pairs < 20000; ++a) {
         for (uint32_t b = a + 1; b < objects.size(); ++b) {
-          if (row[a].category != row[b].category) continue;
+          if (categories[a] != categories[b]) continue;
           if (truth[a][q] == truth[b][q]) continue;  // true ties score noisily
           ++pairs;
           const CompareResult r = ApproximateCompare(*index, q, a, b, row);

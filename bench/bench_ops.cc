@@ -74,12 +74,13 @@ BENCHMARK(BM_ApproximateDistance)->Arg(10)->Arg(100)->Arg(1000);
 void BM_ExactCompare(benchmark::State& state) {
   OpsEnv& env = Env();
   Random rng(3);
+  RowStage stage;
   for (auto _ : state) {
     const NodeId n = static_cast<NodeId>(rng.NextUint64(env.graph.num_nodes()));
-    const SignatureRow row = env.index->ReadRow(n);
+    env.index->ReadRowStaged(n, &stage);
     const auto a = static_cast<uint32_t>(rng.NextUint64(env.objects.size()));
     const auto b = static_cast<uint32_t>(rng.NextUint64(env.objects.size()));
-    benchmark::DoNotOptimize(ExactCompare(*env.index, n, a, b, row));
+    benchmark::DoNotOptimize(ExactCompare(*env.index, n, a, b, stage));
   }
 }
 BENCHMARK(BM_ExactCompare);
@@ -87,12 +88,13 @@ BENCHMARK(BM_ExactCompare);
 void BM_ApproximateCompare(benchmark::State& state) {
   OpsEnv& env = Env();
   Random rng(4);
+  RowStage stage;
   for (auto _ : state) {
     const NodeId n = static_cast<NodeId>(rng.NextUint64(env.graph.num_nodes()));
-    const SignatureRow row = env.index->ReadRow(n);
+    env.index->ReadRowStaged(n, &stage);
     const auto a = static_cast<uint32_t>(rng.NextUint64(env.objects.size()));
     const auto b = static_cast<uint32_t>(rng.NextUint64(env.objects.size()));
-    benchmark::DoNotOptimize(ApproximateCompare(*env.index, n, a, b, row));
+    benchmark::DoNotOptimize(ApproximateCompare(*env.index, n, a, b, stage));
   }
 }
 BENCHMARK(BM_ApproximateCompare);
@@ -101,29 +103,33 @@ void BM_SortByDistance(benchmark::State& state) {
   OpsEnv& env = Env();
   Random rng(5);
   const size_t set_size = static_cast<size_t>(state.range(0));
+  RowStage stage;
   for (auto _ : state) {
     const NodeId n = static_cast<NodeId>(rng.NextUint64(env.graph.num_nodes()));
-    const SignatureRow row = env.index->ReadRow(n);
+    env.index->ReadRowStaged(n, &stage);
     std::vector<uint32_t> objs;
     for (size_t i = 0; i < set_size; ++i) {
       objs.push_back(static_cast<uint32_t>(
           rng.NextUint64(env.objects.size())));
     }
-    SortByDistance(*env.index, n, row, &objs);
+    SortByDistance(*env.index, n, stage, &objs);
     benchmark::DoNotOptimize(objs);
   }
 }
 BENCHMARK(BM_SortByDistance)->Arg(5)->Arg(20)->Arg(50);
 
-void BM_DecodeRow(benchmark::State& state) {
+void BM_ReadRowStaged(benchmark::State& state) {
   OpsEnv& env = Env();
   Random rng(6);
+  RowStage stage;
   for (auto _ : state) {
     const NodeId n = static_cast<NodeId>(rng.NextUint64(env.graph.num_nodes()));
-    benchmark::DoNotOptimize(env.index->ReadRow(n));
+    env.index->ReadRowStaged(n, &stage);
+    benchmark::DoNotOptimize(stage.categories());
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_DecodeRow);
+BENCHMARK(BM_ReadRowStaged);
 
 void BM_DecodeSingleEntry(benchmark::State& state) {
   OpsEnv& env = Env();

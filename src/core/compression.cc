@@ -11,8 +11,8 @@ namespace dsig {
 
 namespace {
 
-// Layout adapters: the AoS row and the SoA stage share one implementation
-// of the rep rule (ComputeRepsView) so the two paths cannot drift.
+// Layout adapters: the encoder's AoS row and the decoder's stage share one
+// implementation of the rep rule (ComputeRepsView) so the two cannot drift.
 struct AosRowView {
   const SignatureRow* row;
   size_t size() const { return row->size(); }
@@ -77,11 +77,6 @@ std::vector<RowCompressor::Rep> RowCompressor::ComputeRepsView(
   return reps;
 }
 
-std::vector<RowCompressor::Rep> RowCompressor::ComputeReps(
-    const SignatureRow& row) const {
-  return ComputeRepsView(AosRowView{&row});
-}
-
 bool RowCompressor::BestRep(const std::vector<Rep>& reps, uint32_t v,
                             uint8_t* category, uint8_t* link) const {
   const int m = partition_->num_categories();
@@ -118,7 +113,7 @@ size_t RowCompressor::Compress(SignatureRow* row) const {
   for (SignatureEntry& entry : *row) {
     DSIG_CHECK(!entry.compressed) << "row already compressed";
   }
-  const std::vector<Rep> reps = ComputeReps(*row);
+  const std::vector<Rep> reps = ComputeRepsView(AosRowView{row});
   size_t flagged = 0;
   for (uint32_t v = 0; v < row->size(); ++v) {
     SignatureEntry& entry = (*row)[v];
@@ -130,36 +125,6 @@ size_t RowCompressor::Compress(SignatureRow* row) const {
     }
   }
   return flagged;
-}
-
-SignatureEntry RowCompressor::Resolve(const SignatureRow& row,
-                                      uint32_t index) const {
-  DSIG_CHECK_LT(index, row.size());
-  const SignatureEntry& entry = row[index];
-  if (!entry.compressed) return entry;
-  const std::vector<Rep> reps = ComputeReps(row);
-  SignatureEntry resolved;
-  const bool ok = BestRep(reps, index, &resolved.category, &resolved.link);
-  DSIG_CHECK(ok) << "compressed entry with no representative";
-  resolved.compressed = false;
-  return resolved;
-}
-
-bool RowCompressor::TryResolveRow(SignatureRow* row) const {
-  if (row->size() != table_->num_objects()) return false;
-  const int m = partition_->num_categories();
-  for (const SignatureEntry& entry : *row) {
-    // Out-of-partition categories would abort inside AddUpCategories.
-    if (!entry.compressed && entry.category >= m) return false;
-  }
-  const std::vector<Rep> reps = ComputeReps(*row);
-  for (uint32_t v = 0; v < row->size(); ++v) {
-    SignatureEntry& entry = (*row)[v];
-    if (!entry.compressed) continue;
-    if (!BestRep(reps, v, &entry.category, &entry.link)) return false;
-    entry.compressed = false;
-  }
-  return true;
 }
 
 bool RowCompressor::TryResolveStage(RowStage* stage) const {
@@ -193,17 +158,6 @@ bool RowCompressor::TryResolveStage(RowStage* stage) const {
   }
   stage->set_any_compressed(false);
   return true;
-}
-
-void RowCompressor::ResolveRow(SignatureRow* row) const {
-  const std::vector<Rep> reps = ComputeReps(*row);
-  for (uint32_t v = 0; v < row->size(); ++v) {
-    SignatureEntry& entry = (*row)[v];
-    if (!entry.compressed) continue;
-    const bool ok = BestRep(reps, v, &entry.category, &entry.link);
-    DSIG_CHECK(ok) << "compressed entry with no representative";
-    entry.compressed = false;
-  }
 }
 
 }  // namespace dsig

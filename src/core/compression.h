@@ -17,6 +17,8 @@
 //     position). The encoder flags v only when u(v)'s add-up reproduces v's
 //     category exactly AND u(v) shares v's link — making decompression
 //     lossless by construction.
+// The encoder flags entries of the write-side SignatureRow (Compress); the
+// decoder resolves them in a decoded RowStage (TryResolveStage).
 #ifndef DSIG_CORE_COMPRESSION_H_
 #define DSIG_CORE_COMPRESSION_H_
 
@@ -49,25 +51,16 @@ class RowCompressor {
   // of Definition 5.1 is always positive.
   size_t Compress(SignatureRow* row) const;
 
-  // Reconstructs the category and link of compressed entry `index`; `row`
-  // is the decoded row (compressed entries unresolved).
-  SignatureEntry Resolve(const SignatureRow& row, uint32_t index) const;
-
-  // Resolves every compressed entry in place.
-  void ResolveRow(SignatureRow* row) const;
-
-  // Non-aborting variant for untrusted rows: false (row left partially
-  // resolved) when the row's size does not match the object table, an
-  // uncompressed category is outside the partition, or a compressed entry
-  // has no representative — all states only a corrupt index can reach.
-  bool TryResolveRow(SignatureRow* row) const;
-
-  // SoA twin of TryResolveRow for staged rows (core/row_stage.h): the same
-  // deterministic rule and failure conditions through the same shared core,
-  // with category validation and flag extraction running on the SIMD
-  // kernels. Resolved entries are written back into the stage's lanes and
-  // the flags cleared. Relies on the stage invariant that flagged entries
-  // hold the kUnresolved sentinels (which decode guarantees).
+  // Resolves every compressed entry of a decoded row in place (core/
+  // row_stage.h), with category validation and flag extraction running on
+  // the SIMD kernels; resolved entries are written back into the stage's
+  // lanes and the flags cleared. Never aborts, so untrusted rows are safe:
+  // false (stage left partially resolved) when the row's size does not
+  // match the object table, an uncompressed category is outside the
+  // partition, or a compressed entry has no representative — all states
+  // only a corrupt index can reach. Relies on the stage invariant that
+  // flagged entries hold the kUnresolved sentinels (which decode
+  // guarantees).
   bool TryResolveStage(RowStage* stage) const;
 
  private:
@@ -78,12 +71,11 @@ class RowCompressor {
   };
 
   // One rep per distinct link value present among uncompressed entries.
-  // View adapters (defined in compression.cc) give the AoS row and the SoA
-  // stage one implementation of the rep/resolve rule, so the two layouts
-  // cannot drift apart.
+  // View adapters (defined in compression.cc) give the encoder's AoS row and
+  // the decoder's stage one implementation of the rep rule, so compression
+  // and resolution cannot drift apart.
   template <class View>
   std::vector<Rep> ComputeRepsView(const View& view) const;
-  std::vector<Rep> ComputeReps(const SignatureRow& row) const;
 
   // Best u(v) under the deterministic rule; returns false when no rep
   // precedes v. On success fills `category` (the add-up) and `link`.

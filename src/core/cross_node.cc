@@ -1,5 +1,6 @@
 #include "core/cross_node.h"
 
+#include "core/row_stage.h"
 #include "util/logging.h"
 
 namespace dsig {
@@ -13,7 +14,9 @@ CrossNodeStats AnalyzeCrossNodeCompression(const SignatureIndex& index,
   const HuffmanCode& code = codec.category_code();
 
   CrossNodeStats stats;
-  SignatureRow reference;
+  // Two stages, alternating: the row just analyzed is the next reference.
+  RowStage stages[2];
+  int current = 0;
   int chain_depth = 0;
   for (const NodeId n : order) {
     const uint64_t stored_bits = index.encoded_row(n).size_bits;
@@ -21,20 +24,24 @@ CrossNodeStats AnalyzeCrossNodeCompression(const SignatureIndex& index,
 
     // Deltas compare *resolved* categories: the delta form replaces the
     // within-row compression, it does not stack on top of it.
-    SignatureRow row = codec.DecodeRow(index.encoded_row(n));
-    index.compressor().ResolveRow(&row);
+    RowStage& row = stages[current];
+    const RowStage& reference = stages[current ^ 1];
+    DSIG_CHECK(codec.TryDecodeRowStage(index.encoded_row(n),
+                                       index.num_objects(), &row) &&
+               index.compressor().TryResolveStage(&row))
+        << "row of node " << n << " does not decode and resolve";
 
     uint64_t delta_bits = 0;
     uint64_t same = 0;
-    const bool can_delta =
-        !reference.empty() && chain_depth < max_chain;
+    const bool can_delta = !reference.empty() && chain_depth < max_chain;
     if (can_delta) {
       for (uint32_t o = 0; o < row.size(); ++o) {
         delta_bits += 1;  // same-category flag
-        if (row[o].category == reference[o].category) {
+        if (row.categories()[o] == reference.categories()[o]) {
           ++same;
         } else {
-          delta_bits += static_cast<uint64_t>(code.length(row[o].category));
+          delta_bits +=
+              static_cast<uint64_t>(code.length(row.categories()[o]));
         }
         delta_bits += static_cast<uint64_t>(codec.link_bits());
       }
@@ -51,7 +58,7 @@ CrossNodeStats AnalyzeCrossNodeCompression(const SignatureIndex& index,
       stats.cross_node_bits += stored_bits + 1;
       chain_depth = 0;
     }
-    reference = std::move(row);
+    current ^= 1;
   }
   return stats;
 }

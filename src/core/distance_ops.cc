@@ -133,11 +133,13 @@ DistanceRange ApproximateDistance(const SignatureIndex& index, NodeId n,
 }
 
 CompareResult ExactCompare(const SignatureIndex& index, NodeId n, uint32_t a,
-                           uint32_t b, const SignatureRow& row) {
+                           uint32_t b, const RowStage& stage) {
   const ReadSnapshot snapshot(index.epoch_gate());
   ++GlobalOpCounters().exact_compares;
-  RetrievalCursor ca(&index, n, a, &row[a]);
-  RetrievalCursor cb(&index, n, b, &row[b]);
+  const SignatureEntry entry_a = stage.entry(a);
+  const SignatureEntry entry_b = stage.entry(b);
+  RetrievalCursor ca(&index, n, a, &entry_a);
+  RetrievalCursor cb(&index, n, b, &entry_b);
   CompareResult result = CompareResult::kEqual;
   while (!Decided(ca, cb, &result)) {
     // Batched alternation (Algorithm 2): push one side as far as the other's
@@ -208,8 +210,7 @@ BisectorSegment SegmentForPair(const CategoryPartition& partition,
 
 // One observer's vote: -1 for "a is closer", +1 for "b is closer", 0 when it
 // abstains (far pair, sits on the bisector, or its range straddles the
-// candidate segment). Shared by the AoS and SoA comparison paths so their
-// verdicts cannot drift.
+// candidate segment).
 int ObserverVote(const CategoryPartition& partition,
                  const ObjectDistanceTable& table,
                  const BisectorSegment& segment, double d_ab, uint32_t a,
@@ -252,46 +253,6 @@ int ObserverVote(const CategoryPartition& partition,
 }
 
 }  // namespace
-
-CompareResult ApproximateCompare(const SignatureIndex& index,
-                                 NodeId /*n: embedding is node-independent*/,
-                                 uint32_t a, uint32_t b,
-                                 const SignatureRow& row) {
-  const ReadSnapshot snapshot(index.epoch_gate());
-  ++GlobalOpCounters().approx_compares;
-  DSIG_CHECK(!row[a].compressed && !row[b].compressed);
-  if (row[a].category != row[b].category) {
-    return row[a].category < row[b].category ? CompareResult::kLess
-                                             : CompareResult::kGreater;
-  }
-  const CategoryPartition& partition = index.partition();
-  const ObjectDistanceTable& table = index.object_table();
-  if (table.IsFar(a, b)) return CompareResult::kEqual;  // cannot embed
-  const double d_ab = table.Get(a, b);
-  if (d_ab <= 0) return CompareResult::kEqual;  // co-located objects
-
-  const BisectorSegment segment =
-      SegmentForPair(partition, row[a].category, d_ab);
-  if (!segment.valid) return CompareResult::kEqual;
-
-  int votes_a = 0, votes_b = 0;  // votes for "a is closer" / "b is closer"
-  for (uint32_t c = 0; c < row.size(); ++c) {
-    if (c == a || c == b || row[c].compressed) continue;
-    // Observers are objects in strictly closer categories: their ranges are
-    // tighter and their embedding distortion smaller (§3.2.2).
-    if (row[c].category >= row[a].category) continue;
-    const int vote =
-        ObserverVote(partition, table, segment, d_ab, a, b, c, row[c].category);
-    if (vote < 0) {
-      ++votes_a;
-    } else if (vote > 0) {
-      ++votes_b;
-    }
-  }
-  if (votes_a > votes_b) return CompareResult::kLess;
-  if (votes_b > votes_a) return CompareResult::kGreater;
-  return CompareResult::kEqual;
-}
 
 CompareResult ApproximateCompare(const SignatureIndex& index,
                                  NodeId /*n: embedding is node-independent*/,
@@ -419,13 +380,6 @@ void SortByDistance(const SignatureIndex& index, NodeId n,
     }
     ++i;
   }
-}
-
-void SortByDistance(const SignatureIndex& index, NodeId n,
-                    const SignatureRow& row, std::vector<uint32_t>* objects) {
-  static thread_local RowStage stage;
-  stage.Assign(row);
-  SortByDistance(index, n, stage, objects);
 }
 
 }  // namespace dsig

@@ -6,7 +6,8 @@
 // object, so following links accumulates the exact distance edge by edge,
 // and the category read at every intermediate node keeps an ever-tighter
 // range [acc + lb, acc + ub). Approximate variants stop as soon as the range
-// answers the caller's question.
+// answers the caller's question. Comparison and sorting take the node's
+// resolved row as the RowStage SignatureIndex::ReadRowStaged filled.
 #ifndef DSIG_CORE_DISTANCE_OPS_H_
 #define DSIG_CORE_DISTANCE_OPS_H_
 
@@ -69,24 +70,19 @@ DistanceRange ApproximateDistance(const SignatureIndex& index, NodeId n,
                                   uint32_t object, const DistanceRange& delta);
 
 // Exact comparison of d(n, a) vs d(n, b) (Algorithm 2): alternately refines
-// the two distances, in batches, until unambiguous.
+// the two distances, in batches, until unambiguous. `stage` is n's resolved
+// row (SignatureIndex::ReadRowStaged).
 CompareResult ExactCompare(const SignatureIndex& index, NodeId n, uint32_t a,
-                           uint32_t b, const SignatureRow& row);
+                           uint32_t b, const RowStage& stage);
 
 // Approximate comparison (Algorithm 3): uses only s(n) plus the in-memory
 // object table. Observers — objects in strictly closer categories — vote on
 // which side of the perpendicular bisector of (a, b) the node lies in a 2-D
-// embedding; majority wins, any ambiguity yields kEqual. Never charges
-// pages beyond the row the caller already read.
-CompareResult ApproximateCompare(const SignatureIndex& index, NodeId n,
-                                 uint32_t a, uint32_t b,
-                                 const SignatureRow& row);
-
-// SoA variant: the observer pre-filter (category strictly below a's) runs as
-// one vectorized extraction over the stage's category lane instead of a
-// per-entry scan; each surviving observer then votes exactly as above, so
-// the verdict is identical to the AoS form on the same row at every SIMD
-// dispatch level.
+// embedding; majority wins, any ambiguity yields kEqual. The observer
+// pre-filter (category strictly below a's) runs as one vectorized
+// extraction over the stage's category lane, so the verdict is identical at
+// every SIMD dispatch level. Never charges pages beyond the row the caller
+// already read.
 CompareResult ApproximateCompare(const SignatureIndex& index, NodeId n,
                                  uint32_t a, uint32_t b, const RowStage& stage);
 
@@ -98,10 +94,6 @@ CompareResult ApproximateCompare(const SignatureIndex& index, NodeId n,
 // true; callers tag their result partial.
 void SortByDistance(const SignatureIndex& index, NodeId n,
                     const RowStage& stage, std::vector<uint32_t>* objects);
-
-// AoS bridge: stages `row` once and runs the SoA sort above.
-void SortByDistance(const SignatureIndex& index, NodeId n,
-                    const SignatureRow& row, std::vector<uint32_t>* objects);
 
 }  // namespace dsig
 

@@ -10,11 +10,11 @@
 //
 //  - ReadSnapshot (RAII): pins the current epoch for the duration of a query.
 //    The outermost snapshot on a thread takes the shared lock and claims a
-//    pin slot; nested snapshots (ReadRow inside a kNN loop inside a batch
-//    driver) are free no-ops reusing the outer pin, and a snapshot taken by
-//    the thread that holds the write guard is also a no-op that reads the
-//    writer's own in-progress generation — so the update path can reuse the
-//    ordinary read paths without self-deadlock.
+//    pin slot; nested snapshots (ReadRowStaged inside a kNN loop inside a
+//    batch driver) are free no-ops reusing the outer pin, and a snapshot
+//    taken by the thread that holds the write guard is also a no-op that
+//    reads the writer's own in-progress generation — so the update path can
+//    reuse the ordinary read paths without self-deadlock.
 //
 //  - UpdateGuard (RAII): exclusive writer scope. Rewritten rows are published
 //    into the VersionedRowStore at epoch current+1 while the guard is held;

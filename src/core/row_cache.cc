@@ -8,12 +8,12 @@
 namespace dsig {
 namespace {
 
-// Approximate heap cost of one cached row: entry payload plus the list node,
-// table slot, and shared_ptr control block.
+// Approximate heap cost of one cached row: its lanes plus the stage object,
+// list node, table slot, and shared_ptr control block.
 constexpr size_t kPerRowOverhead = 96;
 
-size_t RowBytes(const SignatureRow& row) {
-  return row.size() * sizeof(SignatureEntry) + kPerRowOverhead;
+size_t RowBytes(const RowStage& row) {
+  return row.lane_bytes() + kPerRowOverhead;
 }
 
 }  // namespace
@@ -32,7 +32,7 @@ RowCache::RowCache(const Options& options)
   bytes_gauge_ = registry.GetGauge("rowcache.bytes");
 }
 
-std::shared_ptr<const SignatureRow> RowCache::Get(NodeId n) const {
+std::shared_ptr<const RowStage> RowCache::Get(NodeId n) const {
   if (options_.byte_budget == 0) return nullptr;
   Shard& shard = ShardOf(n);
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -46,7 +46,7 @@ std::shared_ptr<const SignatureRow> RowCache::Get(NodeId n) const {
   return it->second.row;
 }
 
-void RowCache::Put(NodeId n, std::shared_ptr<const SignatureRow> row) {
+void RowCache::Put(NodeId n, std::shared_ptr<const RowStage> row) {
   if (options_.byte_budget == 0) return;
   DSIG_CHECK(row != nullptr);
   const size_t bytes = RowBytes(*row);

@@ -1,10 +1,10 @@
-// Sharded LRU cache of fully-resolved signature rows.
+// Sharded LRU cache of fully-resolved signature rows — the only place the
+// index keeps decoded rows beyond a query's scratch stage.
 //
 // ReadEntry() hits a compressed component on almost every backtracking step
-// of a kNN walk, and resolving it needs the whole row (§5.3). The previous
-// memo was an unbounded-growth map wiped WHOLESALE when it reached its row
-// cap — a working set one row over the cap got a 0% hit rate. This cache
-// replaces it with:
+// of a kNN walk, and resolving it needs the whole row (§5.3); rows the index
+// had to recompute from the graph after a decode failure live here too. The
+// cache has:
 //
 //  * a byte budget (rows vary 10x in size with the object count, so bounding
 //    rows bounded nothing useful),
@@ -12,8 +12,9 @@
 //    working set slightly over budget degrades smoothly instead of cliffing,
 //  * shards with per-shard mutexes, so parallel batch queries (query/batch.h)
 //    share one index without serializing on a single cache lock. Rows are
-//    handed out as shared_ptr<const SignatureRow>: eviction cannot pull a row
-//    out from under a reader on another thread.
+//    handed out as shared_ptr<const RowStage> (core/row_stage.h), immutable
+//    once cached: eviction cannot pull a row out from under a reader on
+//    another thread, and no writer touches a cached row.
 //
 // Activity is charged directly to the process-wide metrics registry
 // ("rowcache.hits" / "misses" / "evictions" / "inserts" counters, a
@@ -29,7 +30,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/signature.h"
+#include "core/row_stage.h"
 #include "graph/road_network.h"
 #include "obs/metrics.h"
 
@@ -38,9 +39,9 @@ namespace dsig {
 class RowCache {
  public:
   struct Options {
-    // Total bytes of cached rows across all shards (approximate: entry
-    // payload plus a fixed per-row overhead). 0 disables caching entirely —
-    // Get() always misses silently and Put() drops the row.
+    // Total bytes of cached rows across all shards (approximate: the row's
+    // lane buffer plus a fixed per-row overhead). 0 disables caching
+    // entirely — Get() always misses silently and Put() drops the row.
     size_t byte_budget = size_t{8} << 20;
     // Per-shard mutexes bound contention; node ids spread across shards.
     size_t num_shards = 8;
@@ -53,13 +54,13 @@ class RowCache {
   RowCache& operator=(const RowCache&) = delete;
 
   // Returns the cached row for `n` (marking it most-recent), or nullptr.
-  std::shared_ptr<const SignatureRow> Get(NodeId n) const;
+  std::shared_ptr<const RowStage> Get(NodeId n) const;
 
   // Inserts (or replaces) `n`'s row and evicts cold rows one at a time until
   // the shard is back under its budget share. A shard always keeps its
   // most-recent row even when that row alone exceeds the share, so a single
   // huge row still caches rather than thrashing.
-  void Put(NodeId n, std::shared_ptr<const SignatureRow> row);
+  void Put(NodeId n, std::shared_ptr<const RowStage> row);
 
   // Drops `n` if cached (row invalidation on update).
   void Erase(NodeId n);
@@ -74,7 +75,7 @@ class RowCache {
 
  private:
   struct Entry {
-    std::shared_ptr<const SignatureRow> row;
+    std::shared_ptr<const RowStage> row;
     size_t bytes = 0;
     std::list<NodeId>::iterator lru_it;
   };

@@ -1,6 +1,7 @@
 #include "core/row_stage.h"
 
 #include <cstdint>
+#include <cstring>
 
 namespace dsig {
 
@@ -15,6 +16,20 @@ uint8_t* AlignPtr(uint8_t* p) {
 }
 }  // namespace
 
+RowStage::RowStage(const RowStage& other) { *this = other; }
+
+RowStage& RowStage::operator=(const RowStage& other) {
+  if (this == &other) return *this;
+  Resize(other.size_);
+  if (size_ != 0) {
+    std::memcpy(categories_, other.categories_, size_);
+    std::memcpy(links_, other.links_, size_);
+    std::memcpy(flags_, other.flags_, size_);
+  }
+  any_compressed_ = other.any_compressed_;
+  return *this;
+}
+
 void RowStage::Resize(size_t n) {
   const size_t stride = RoundUp(n);
   if (buffer_.size() < 3 * stride + kAlign) {
@@ -26,32 +41,6 @@ void RowStage::Resize(size_t n) {
   flags_ = base + 2 * stride;
   size_ = n;
   any_compressed_ = false;
-}
-
-void RowStage::Assign(const SignatureRow& row) {
-  Resize(row.size());
-  bool any = false;
-  for (size_t i = 0; i < row.size(); ++i) {
-    // Flagged lanes always hold the sentinels — the invariant the kernelized
-    // resolve validation relies on (compression.cc).
-    if (row[i].compressed) {
-      categories_[i] = kUnresolvedCategory;
-      links_[i] = kUnresolvedLink;
-      flags_[i] = 1;
-      any = true;
-    } else {
-      categories_[i] = row[i].category;
-      links_[i] = row[i].link;
-      flags_[i] = 0;
-    }
-  }
-  any_compressed_ = any;
-}
-
-SignatureRow RowStage::ToRow() const {
-  SignatureRow row(size_);
-  for (size_t i = 0; i < size_; ++i) row[i] = entry(static_cast<uint32_t>(i));
-  return row;
 }
 
 uint32_t* RowStage::index_scratch() {

@@ -1,16 +1,18 @@
-// SoA staging of one decoded signature row.
+// The decoded form of one signature row.
 //
-// The AoS SignatureRow (3-byte entries) is convenient for per-entry logic
-// but hostile to the SIMD query kernels (util/simd), which want one
-// contiguous byte lane per field. A RowStage holds the same row as three
-// parallel 64-byte-aligned arrays — categories, links, compression flags —
-// emitted directly by the codec's fused decode (SignatureCodec::
-// TryDecodeRowStage), so the hot query loops scan category lanes 16/32-wide
-// without a gather or a transpose.
+// A RowStage holds a row as three parallel 64-byte-aligned lanes —
+// categories, links, compression flags — emitted directly by the codec's
+// fused decode (SignatureCodec::TryDecodeRowStage) and resolved in place
+// (RowCompressor::TryResolveStage), so the hot query loops hand the lanes to
+// the SIMD kernels (util/simd) and scan them 16/32-wide without a gather or
+// a transpose. It is the only decoded row form on the read side; the AoS
+// SignatureRow survives only as the write-side form the builder, the
+// compressor and the encoder work on.
 //
-// Stages are scratch: query loops keep one thread_local instance and refill
-// it per row, so the buffers stop reallocating once they reach the object
-// count.
+// Query loops keep one thread_local stage as scratch and refill it per row,
+// so the buffers stop reallocating once they reach the object count. The
+// row cache (core/row_cache.h) keeps copies: a copy owns fresh lanes and
+// carries the three lanes and any_compressed() only, not the index scratch.
 #ifndef DSIG_CORE_ROW_STAGE_H_
 #define DSIG_CORE_ROW_STAGE_H_
 
@@ -24,6 +26,11 @@ namespace dsig {
 
 class RowStage {
  public:
+  RowStage() = default;
+  // Deep copies: the lanes are re-pointed into this stage's own buffer.
+  RowStage(const RowStage& other);
+  RowStage& operator=(const RowStage& other);
+
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
@@ -49,9 +56,8 @@ class RowStage {
   // Sizes the arrays for `n` entries; contents are undefined afterwards.
   void Resize(size_t n);
 
-  // AoS bridges (tests, fallback rows, legacy call sites).
-  void Assign(const SignatureRow& row);
-  SignatureRow ToRow() const;
+  // Heap bytes held by the lanes (the row cache's charge for a copy).
+  size_t lane_bytes() const { return buffer_.size(); }
 
   // Index buffer sized to the row, for kernel extraction output
   // (simd::KernelTable::extract_in_range writes at most size() indices).

@@ -62,44 +62,10 @@ namespace {
 // (<= 16 bits) — is at most 28 bits, so one peeked window covers it.
 constexpr int kFusedPeekBits = 57;
 
-// Decodes one component at the reader's position on the trusted path: one
-// peeked window feeds the flag test, the category table lookup, and the link
-// extraction, and the position advances once. Aborts on truncation, exactly
-// like the per-primitive reads it fuses (Skip and the fallbacks are
-// bounds-checked).
-inline SignatureEntry ReadComponentFused(const HuffmanCode& code,
-                                         int link_bits, bool has_flags,
-                                         BitReader* reader) {
-  SignatureEntry entry;
-  const uint64_t window = reader->PeekBits(kFusedPeekBits);
-  if (has_flags && (window & 1)) {
-    entry.category = kUnresolvedCategory;
-    entry.link = kUnresolvedLink;
-    entry.compressed = true;
-    reader->Skip(1);
-    return entry;
-  }
-  const int flag = has_flags ? 1 : 0;
-  int symbol = 0;
-  const int cat_len = code.DecodeWindow(window >> flag, &symbol);
-  if (cat_len != 0) {
-    entry.category = static_cast<uint8_t>(symbol);
-    entry.link = static_cast<uint8_t>((window >> (flag + cat_len)) &
-                                      bitstream_internal::LowMask(link_bits));
-    reader->Skip(flag + cat_len + link_bits);
-  } else {
-    // Category code longer than the decode-table window: per-primitive path.
-    if (has_flags) reader->Skip(1);
-    entry.category = static_cast<uint8_t>(code.Decode(reader));
-    entry.link = static_cast<uint8_t>(reader->ReadBits(link_bits));
-  }
-  return entry;
-}
-
 // Reads one component without aborting; false on truncation / bad prefix /
-// oversized link. Factored so row and entry decoding share the rules. Same
-// fused window as ReadComponentFused, with explicit bounds checks in place
-// of the aborts.
+// oversized link. Factored so row and entry decoding share the rules. One
+// peeked window feeds the flag test, the category table lookup, and the
+// link extraction, and the position advances once.
 bool TryReadComponent(const HuffmanCode& category_code, int link_bits,
                       bool has_flags, BitReader* reader,
                       SignatureEntry* entry) {
@@ -151,40 +117,6 @@ bool TryReadComponent(const HuffmanCode& category_code, int link_bits,
 
 }  // namespace
 
-SignatureRow SignatureCodec::DecodeRow(const EncodedRow& encoded) const {
-  SignatureRow row;
-  // Checkpoints bound the component count from below; compressed rows can
-  // hold more (one bit each), so this is a reservation, not a size.
-  row.reserve(encoded.checkpoints.size() * kCheckpointInterval);
-  BitReader reader(encoded.bytes.data(), encoded.size_bits);
-  const HuffmanCode& code = category_code_;
-  const int link_bits = link_bits_;
-  const bool has_flags = has_flags_;
-  while (!reader.AtEnd()) {
-    row.push_back(ReadComponentFused(code, link_bits, has_flags, &reader));
-  }
-  return row;
-}
-
-bool SignatureCodec::TryDecodeRow(const EncodedRow& encoded,
-                                  size_t expected_entries,
-                                  SignatureRow* row) const {
-  row->clear();
-  row->reserve(expected_entries);
-  if (encoded.size_bits > encoded.bytes.size() * 8) return false;
-  BitReader reader(encoded.bytes.data(), encoded.size_bits);
-  while (!reader.AtEnd()) {
-    SignatureEntry entry;
-    if (!TryReadComponent(category_code_, link_bits_, has_flags_, &reader,
-                          &entry)) {
-      return false;
-    }
-    row->push_back(entry);
-    if (row->size() > expected_entries) return false;  // trailing garbage
-  }
-  return row->size() == expected_entries;
-}
-
 bool SignatureCodec::TryDecodeRowStage(const EncodedRow& encoded,
                                        size_t expected_entries,
                                        RowStage* stage) const {
@@ -235,24 +167,6 @@ bool SignatureCodec::TryDecodeEntry(const EncodedRow& encoded, uint32_t index,
     }
   }
   return false;
-}
-
-SignatureEntry SignatureCodec::DecodeEntry(const EncodedRow& encoded,
-                                           uint32_t index,
-                                           uint64_t* bit_offset) const {
-  const uint32_t checkpoint = index / kCheckpointInterval;
-  DSIG_CHECK_LT(checkpoint, encoded.checkpoints.size());
-  BitReader reader(encoded.bytes.data(), encoded.size_bits);
-  reader.Seek(encoded.checkpoints[checkpoint]);
-  for (uint32_t i = checkpoint * kCheckpointInterval;; ++i) {
-    const uint64_t start = reader.position();
-    const SignatureEntry entry =
-        ReadComponentFused(category_code_, link_bits_, has_flags_, &reader);
-    if (i == index) {
-      if (bit_offset != nullptr) *bit_offset = start;
-      return entry;
-    }
-  }
 }
 
 }  // namespace dsig

@@ -42,7 +42,9 @@ inline bool operator==(const SignatureEntry& a, const SignatureEntry& b) {
          a.compressed == b.compressed;
 }
 
-// One node's signature row, indexed by object index.
+// One node's signature row, indexed by object index: the write-side form the
+// builder, the compressor and EncodeRow work on. Reads decode into a
+// RowStage instead (row_stage.h).
 using SignatureRow = std::vector<SignatureEntry>;
 
 // Bit-packed row plus checkpoints for random component access.
@@ -69,33 +71,22 @@ class SignatureCodec {
 
   EncodedRow EncodeRow(const SignatureRow& row) const;
 
-  // Decodes all components. Compressed components come back with
-  // kUnresolvedCategory / kUnresolvedLink and compressed = true.
-  SignatureRow DecodeRow(const EncodedRow& encoded) const;
-
-  // Decodes component `index` only, scanning from the nearest checkpoint.
-  // If `bit_offset` is non-null it receives the component's start offset —
-  // the address used to charge the page holding this component.
-  SignatureEntry DecodeEntry(const EncodedRow& encoded, uint32_t index,
-                             uint64_t* bit_offset) const;
-
-  // Non-aborting decode for untrusted rows (corrupt files, bit rot): false
-  // when the bits end mid-component, follow no category prefix, decode a
-  // link that cannot be an adjacency slot (> 255), or leave trailing
-  // garbage. `expected_entries` is the object count the row must decode to.
-  bool TryDecodeRow(const EncodedRow& encoded, size_t expected_entries,
-                    SignatureRow* row) const;
-
-  // SoA twin of TryDecodeRow: identical failure conditions and component
-  // rules, but the fused decode writes straight into the stage's category /
-  // link / flag lanes (core/row_stage.h) so the SIMD query kernels can scan
-  // them contiguously. Compressed components are staged as
-  // kUnresolvedCategory / kUnresolvedLink with flag 1.
+  // Decodes a row straight into the stage's category / link / flag lanes
+  // (core/row_stage.h), so the SIMD query kernels can scan them
+  // contiguously. Compressed components are staged as kUnresolvedCategory /
+  // kUnresolvedLink with flag 1. Never aborts, so rows from untrusted
+  // sources (corrupt files, bit rot) are safe: false when the bits end
+  // mid-component, follow no category prefix, decode a link that cannot be
+  // an adjacency slot (> 255), or leave trailing garbage.
+  // `expected_entries` is the object count the row must decode to.
   bool TryDecodeRowStage(const EncodedRow& encoded, size_t expected_entries,
                          RowStage* stage) const;
 
-  // Non-aborting single-component decode; same failure conditions plus a
-  // missing or out-of-range checkpoint.
+  // Decodes component `index` only, scanning from the nearest checkpoint;
+  // same failure conditions as TryDecodeRowStage plus a missing or
+  // out-of-range checkpoint. `bit_offset` (if non-null) receives the
+  // component's start offset — the address used to charge the page holding
+  // this component.
   bool TryDecodeEntry(const EncodedRow& encoded, uint32_t index,
                       SignatureEntry* entry, uint64_t* bit_offset) const;
 

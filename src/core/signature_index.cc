@@ -33,7 +33,7 @@ SignatureIndex::SignatureIndex(const RoadNetwork* graph,
       compressor_(&partition_, &table_),
       size_stats_(size_stats),
       forest_(std::move(forest)),
-      resolved_cache_(std::make_unique<RowCache>()) {
+      row_cache_(std::make_unique<RowCache>()) {
   DSIG_CHECK(graph_ != nullptr);
   DSIG_CHECK_EQ(rows_.size(), graph_->num_nodes());
   object_of_node_.assign(graph_->num_nodes(), kInvalidObject);
@@ -42,43 +42,9 @@ SignatureIndex::SignatureIndex(const RoadNetwork* graph,
   }
 }
 
-SignatureRow SignatureIndex::ReadRow(NodeId n) const {
+void SignatureIndex::ReadRowStaged(NodeId n, RowStage* stage) const {
   // One snapshot across decode *and* resolve: resolution consults the object
   // table, which the updater also rewrites.
-  const ReadSnapshot snapshot(&gate_);
-  SignatureRow row = ReadRowUnresolved(n);
-  const obs::Span span(obs::Phase::kResolve);
-  if (!compressor_.TryResolveRow(&row)) {
-    // An entry decoded but cannot be resolved/validated — same degradation
-    // path as an undecodable row.
-    row = FallbackRow(n);
-  }
-  return row;
-}
-
-SignatureRow SignatureIndex::ReadRowUnresolved(NodeId n) const {
-  const ReadSnapshot snapshot(&gate_);
-  const obs::Span span(obs::Phase::kRowDecode);
-  DSIG_CHECK_LT(n, rows_.size());
-  ++GlobalOpCounters().row_reads;
-  const EncodedRow& encoded = rows_.Read(n, snapshot.epoch());
-  if (merged_) {
-    // Only the signature portion of the combined record is scanned.
-    store_.TouchRecordBits(n, adjacency_bits_[n],
-                           adjacency_bits_[n] + encoded.size_bits);
-  } else {
-    store_.TouchRecord(n);
-  }
-  SignatureRow row;
-  if (!codec_.TryDecodeRow(encoded, objects_.size(), &row)) {
-    return FallbackRow(n);  // fully resolved, which is also a valid
-                            // "unresolved" row (nothing left compressed)
-  }
-  return row;
-}
-
-void SignatureIndex::ReadRowStaged(NodeId n, RowStage* stage) const {
-  // One snapshot across decode *and* resolve, as in ReadRow.
   const ReadSnapshot snapshot(&gate_);
   {
     const obs::Span span(obs::Phase::kRowDecode);
@@ -86,19 +52,22 @@ void SignatureIndex::ReadRowStaged(NodeId n, RowStage* stage) const {
     ++GlobalOpCounters().row_reads;
     const EncodedRow& encoded = rows_.Read(n, snapshot.epoch());
     if (merged_) {
+      // Only the signature portion of the combined record is scanned.
       store_.TouchRecordBits(n, adjacency_bits_[n],
                              adjacency_bits_[n] + encoded.size_bits);
     } else {
       store_.TouchRecord(n);
     }
     if (!codec_.TryDecodeRowStage(encoded, objects_.size(), stage)) {
-      stage->Assign(FallbackRow(n));
+      *stage = *FallbackRow(n);
       return;
     }
   }
   const obs::Span span(obs::Phase::kResolve);
   if (!compressor_.TryResolveStage(stage)) {
-    stage->Assign(FallbackRow(n));
+    // An entry decoded but cannot be resolved/validated — same degradation
+    // path as an undecodable row.
+    *stage = *FallbackRow(n);
   }
 }
 
@@ -116,7 +85,7 @@ SignatureEntry SignatureIndex::ReadEntry(NodeId n,
     // Charge the page at the row's start — the read was attempted — then
     // degrade to the recomputed row.
     store_.TouchRecordAt(n, merged_ ? adjacency_bits_[n] : 0);
-    return FallbackRow(n)[object_index];
+    return FallbackRow(n)->entry(object_index);
   }
   if (merged_) bit_offset += adjacency_bits_[n];
   store_.TouchRecordAt(n, bit_offset);
@@ -128,39 +97,44 @@ SignatureEntry SignatureIndex::ReadEntry(NodeId n,
     // are cached — backtracking walks revisit nodes constantly, and batch
     // workers share the LRU (the shared_ptr keeps a row alive for this read
     // even if another thread evicts it).
-    std::shared_ptr<const SignatureRow> resolved = resolved_cache_->Get(n);
+    std::shared_ptr<const RowStage> resolved = row_cache_->Get(n);
     if (resolved == nullptr) {
-      SignatureRow row;
-      if (!codec_.TryDecodeRow(encoded, objects_.size(), &row) ||
-          !compressor_.TryResolveRow(&row)) {
-        row = FallbackRow(n);
+      // Decode into scratch and cache a copy: the copy carries the lanes
+      // only, not the scratch's index buffer or spare capacity.
+      static thread_local RowStage scratch;
+      if (codec_.TryDecodeRowStage(encoded, objects_.size(), &scratch) &&
+          compressor_.TryResolveStage(&scratch)) {
+        resolved = std::make_shared<const RowStage>(scratch);
+        row_cache_->Put(n, resolved);
+      } else {
+        resolved = FallbackRow(n);
       }
-      auto owned = std::make_shared<const SignatureRow>(std::move(row));
-      resolved_cache_->Put(n, owned);
-      resolved = std::move(owned);
     }
-    entry = (*resolved)[object_index];
+    entry = resolved->entry(object_index);
   }
   return entry;
 }
 
-const SignatureRow& SignatureIndex::FallbackRow(NodeId n) const {
-  {
-    std::lock_guard<std::mutex> lock(fallback_mu_);
-    const auto it = fallback_rows_.find(n);
-    if (it != fallback_rows_.end()) return it->second;
+std::shared_ptr<const RowStage> SignatureIndex::FallbackRow(NodeId n) const {
+  // A cached row for n can only be its fallback: ReadEntry caches only rows
+  // that resolve, and the stored row never changes without dropping n's
+  // entry (mutable_encoded_row, ReplaceRow).
+  if (std::shared_ptr<const RowStage> cached = row_cache_->Get(n)) {
+    return cached;
   }
-  // Compute outside the lock — bounded Dijkstra is milliseconds, and other
+  // Computed outside any lock — bounded Dijkstra is milliseconds, and other
   // readers must not stall behind it. A concurrent computation of the same
-  // row is wasted work, not a correctness problem: emplace keeps the first.
-  SignatureRow computed = ComputeFallbackRow(n);
-  std::lock_guard<std::mutex> lock(fallback_mu_);
-  return fallback_rows_.emplace(n, std::move(computed)).first->second;
+  // row is wasted work, not a correctness problem.
+  auto row = std::make_shared<RowStage>();
+  ComputeFallbackRow(n, row.get());
+  fallback_cached_.store(true, std::memory_order_relaxed);
+  row_cache_->Put(n, row);
+  return row;
 }
 
-SignatureRow SignatureIndex::ComputeFallbackRow(NodeId n) const {
+void SignatureIndex::ComputeFallbackRow(NodeId n, RowStage* row) const {
   const obs::Span span(obs::Phase::kDijkstraFallback);
-  // The computed row is memoized and outlives the current request, so it
+  // The computed row is cached and outlives the current request, so it
   // must never be truncated by the request's deadline.
   const DeadlineScope shield(Deadline::Infinite());
   ++GlobalOpCounters().decode_fallbacks;
@@ -196,44 +170,42 @@ SignatureRow SignatureIndex::ComputeFallbackRow(NodeId n) const {
     }
   }
   const int last_category = partition_.num_categories() - 1;
-  SignatureRow row(objects_.size());
+  row->Resize(objects_.size());
+  uint8_t* const categories = row->categories();
+  uint8_t* const links = row->links();
+  std::memset(row->flags(), 0, objects_.size());
   for (uint32_t o = 0; o < objects_.size(); ++o) {
     const NodeId object_node = objects_[o];
-    SignatureEntry& entry = row[o];
-    entry.compressed = false;
     if (object_node == n) {
-      entry.category = 0;
-      entry.link = 0;
-      continue;
-    }
-    if (dist[object_node] == kInfiniteWeight) {
+      categories[o] = 0;
+      links[o] = 0;
+    } else if (dist[object_node] == kInfiniteWeight) {
       // Signatures require a connected network; an unreachable object means
       // the graph itself degraded. Park it in the open-ended last category.
-      entry.category = static_cast<uint8_t>(last_category);
-      entry.link = 0;
-      continue;
+      categories[o] = static_cast<uint8_t>(last_category);
+      links[o] = 0;
+    } else {
+      categories[o] =
+          static_cast<uint8_t>(partition_.CategoryOf(dist[object_node]));
+      links[o] = first_slot[object_node];
     }
-    entry.category =
-        static_cast<uint8_t>(partition_.CategoryOf(dist[object_node]));
-    entry.link = first_slot[object_node];
   }
-  return row;
 }
 
 EncodedRow& SignatureIndex::mutable_encoded_row(NodeId n) {
   DSIG_CHECK_LT(n, rows_.size());
-  resolved_cache_->Erase(n);
-  {
-    std::lock_guard<std::mutex> lock(fallback_mu_);
-    fallback_rows_.erase(n);
-  }
+  row_cache_->Erase(n);
   return rows_.MutableNewest(n);
 }
 
 void SignatureIndex::InvalidateCachedRows(const std::vector<NodeId>& nodes) {
-  for (const NodeId n : nodes) resolved_cache_->Erase(n);
-  std::lock_guard<std::mutex> lock(fallback_mu_);
-  for (const NodeId n : nodes) fallback_rows_.erase(n);
+  for (const NodeId n : nodes) row_cache_->Erase(n);
+}
+
+void SignatureIndex::DropFallbackRows() {
+  if (fallback_cached_.exchange(false, std::memory_order_relaxed)) {
+    row_cache_->Clear();
+  }
 }
 
 void SignatureIndex::ReclaimRetiredRows() {
@@ -251,7 +223,7 @@ void SignatureIndex::ReclaimRetiredRows() {
 }
 
 void SignatureIndex::ConfigureRowCache(const RowCache::Options& options) {
-  resolved_cache_ = std::make_unique<RowCache>(options);
+  row_cache_ = std::make_unique<RowCache>(options);
 }
 
 void SignatureIndex::AttachStorage(BufferManager* buffer,
@@ -491,33 +463,31 @@ Status SignatureIndex::Verify() const {
 size_t SignatureIndex::ReplaceRow(NodeId n, const SignatureRow& row) {
   DSIG_CHECK_LT(n, rows_.size());
   DSIG_CHECK_EQ(row.size(), objects_.size());
-  // Diff against the old row in resolved form so flag-only differences (same
-  // category/link, different compression decision) do not count as changes.
-  // TryDecodeRow rather than the aborting DecodeRow: a row corrupted in
-  // memory must degrade (count every component as changed), not crash the
-  // updater.
   const EncodedRow& old_encoded = rows_.ReadNewest(n);
-  SignatureRow new_resolved = row;
-  compressor_.ResolveRow(&new_resolved);
-  size_t changed = 0;
-  SignatureRow old_row;
-  if (codec_.TryDecodeRow(old_encoded, objects_.size(), &old_row) &&
-      compressor_.TryResolveRow(&old_row)) {
+  EncodedRow new_encoded = codec_.EncodeRow(row);
+  // Diff the two rows in resolved form so flag-only differences (same
+  // category/link, different compression decision) do not count as changes.
+  // A row corrupted in memory must degrade (count every component as
+  // changed), not crash the updater.
+  RowStage old_row;
+  RowStage new_row;
+  size_t changed = row.size();
+  if (codec_.TryDecodeRowStage(old_encoded, objects_.size(), &old_row) &&
+      compressor_.TryResolveStage(&old_row)) {
+    DSIG_CHECK(
+        codec_.TryDecodeRowStage(new_encoded, objects_.size(), &new_row) &&
+        compressor_.TryResolveStage(&new_row))
+        << "replacement row for node " << n << " does not round-trip";
+    changed = 0;
     for (size_t i = 0; i < row.size(); ++i) {
-      if (!(old_row[i] == new_resolved[i])) ++changed;
+      if (old_row.categories()[i] != new_row.categories()[i] ||
+          old_row.links()[i] != new_row.links()[i]) {
+        ++changed;
+      }
     }
-  } else {
-    changed = row.size();
   }
 
-  resolved_cache_->Erase(n);
-  {
-    // The fallback memo is derived from the graph, which just changed under
-    // this row; a stale entry would shadow the replacement.
-    std::lock_guard<std::mutex> lock(fallback_mu_);
-    fallback_rows_.erase(n);
-  }
-  EncodedRow new_encoded = codec_.EncodeRow(row);
+  row_cache_->Erase(n);
   size_stats_.compressed_bits += new_encoded.size_bits;
   size_stats_.compressed_bits -= old_encoded.size_bits;
   // Copy-on-write publish: inside an UpdateGuard the new version carries the

@@ -5,18 +5,19 @@
 //   * one encoded signature row per network node,
 //   * the in-memory object-object distance table (§3.2.2),
 //   * optionally the per-object spanning forest kept for updates (§5.4),
-//   * optionally a paged store charging row accesses to a buffer pool.
+//   * optionally a paged store charging row accesses to a buffer pool,
+//   * one byte-budgeted cache of decoded rows (row_cache.h): rows resolved
+//     for single-component reads and rows recomputed after decode faults.
 //
+// Rows are read into a RowStage (row_stage.h), the only decoded row form.
 // Build instances with BuildSignatureIndex (signature_builder.h); distance
 // retrieval / comparison / sorting live in distance_ops.h; query processing
 // in query/; maintenance in update.h.
 #ifndef DSIG_CORE_SIGNATURE_INDEX_H_
 #define DSIG_CORE_SIGNATURE_INDEX_H_
 
+#include <atomic>
 #include <memory>
-#include <mutex>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/category_partition.h"
@@ -101,22 +102,17 @@ class SignatureIndex {
 
   // --- Row access (all charge pages when storage is attached) -------------
 
-  // Full signature of `n` with every compressed component resolved; charges
-  // every page the row spans.
-  SignatureRow ReadRow(NodeId n) const;
-
-  // Full signature with compressed components left unresolved (cheaper when
-  // the caller only cares about categories of resolved entries).
-  SignatureRow ReadRowUnresolved(NodeId n) const;
-
-  // SoA twin of ReadRow: the fused decode writes straight into `stage`'s
-  // category/link/flag lanes (core/row_stage.h) and resolution runs in
-  // place, so query loops can hand the lanes to the SIMD kernels without a
-  // transpose. Charges the same pages and op counters as ReadRow and
-  // degrades to the recomputed fallback row identically.
+  // Full signature of `n`, decoded straight into `stage`'s category/link/flag
+  // lanes (core/row_stage.h) with every compressed component resolved in
+  // place, so query loops hand the lanes to the SIMD kernels without a
+  // transpose. Charges every page the row spans. A row that does not decode
+  // or resolve degrades to the recomputed fallback row (see FallbackRow).
+  // Does not consult the row cache for healthy rows.
   void ReadRowStaged(NodeId n, RowStage* stage) const;
 
-  // Single component, resolved; charges only the page holding it.
+  // Single component, resolved; charges only the page holding it. A
+  // compressed component resolves against the whole row, which is then kept
+  // in the row cache.
   SignatureEntry ReadEntry(NodeId n, uint32_t object_index) const;
 
   // --- Storage -------------------------------------------------------------
@@ -143,11 +139,11 @@ class SignatureIndex {
 
   // --- Decoded-row cache ---------------------------------------------------
 
-  // Replaces the resolved-row cache (dropping its contents). byte_budget = 0
+  // Replaces the decoded-row cache (dropping its contents). byte_budget = 0
   // disables caching; see row_cache.h. Not thread-safe — configure before
   // serving queries.
   void ConfigureRowCache(const RowCache::Options& options);
-  const RowCache& row_cache() const { return *resolved_cache_; }
+  const RowCache& row_cache() const { return *row_cache_; }
 
   // Payload size of the index as stored (compressed form), in bytes.
   uint64_t IndexBytes() const;
@@ -175,6 +171,14 @@ class SignatureIndex {
     if (labels_ != nullptr) labels_->MarkStale();
   }
 
+  // Drops every recomputed fallback row (see FallbackRow): they derive from
+  // the graph, so any network change can make them wrong, even one that
+  // rewrites no signature row. Called by SignatureUpdater on every network
+  // change, next to InvalidateHubLabels. Clears the whole row cache, but
+  // only while a fallback row may be in it, so a healthy index keeps its
+  // cached rows. Exclusive callers only (inside an UpdateGuard).
+  void DropFallbackRows();
+
   // --- Integrity -----------------------------------------------------------
 
   // Deep verification of the index's structural invariants, for indexes from
@@ -198,13 +202,13 @@ class SignatureIndex {
 
   // Direct mutable access to the stored encoded row — the corruption-test
   // seam (fault-injection harnesses flip bits in rows_[n].bytes). Drops the
-  // node's cached resolved/fallback state so the next read re-decodes.
+  // node's cached row so the next read re-decodes.
   EncodedRow& mutable_encoded_row(NodeId n);
 
-  // Drops cached resolved rows and fallback memos for every listed node in
-  // one sweep. The updater calls this with the complete set of affected
-  // nodes *before* publishing any rewritten row, so a hot cache can never
-  // serve a resolution computed against the pre-update object table.
+  // Drops the cached rows of every listed node in one sweep. The updater
+  // calls this with the complete set of affected nodes *before* publishing
+  // any rewritten row, so a hot cache can never serve a resolution computed
+  // against the pre-update object table.
   void InvalidateCachedRows(const std::vector<NodeId>& nodes);
 
   // --- Maintenance hooks (used by SignatureUpdater) ------------------------
@@ -219,7 +223,8 @@ class SignatureIndex {
   ObjectDistanceTable* mutable_object_table() { return &table_; }
 
   // Replaces node `n`'s row (already compressed by the caller), returning
-  // how many resolved components differ from the previous row. Invalidates
+  // how many resolved components differ from the previous row (every one,
+  // when the previous row no longer decodes or resolves). Invalidates
   // the page layout until AttachStorage is called again. Inside an
   // UpdateGuard the new row is published copy-on-write at the guard's
   // publish epoch (invisible to concurrent readers until the guard commits);
@@ -231,13 +236,14 @@ class SignatureIndex {
   const EncodedRow& encoded_row(NodeId n) const { return rows_.ReadNewest(n); }
 
  private:
-  // Decode-failure degradation: a row whose bits no longer decode (in-memory
-  // corruption that slipped past load-time checks) is recomputed from the
-  // graph by a Dijkstra bounded to the farthest object, memoized, and
-  // counted in OpCounters::decode_fallbacks. Queries stay oracle-correct —
-  // any shortest-path first hop is a valid backtracking link.
-  const SignatureRow& FallbackRow(NodeId n) const;
-  SignatureRow ComputeFallbackRow(NodeId n) const;
+  // Decode-failure degradation: a row whose bits no longer decode or
+  // resolve (in-memory corruption that slipped past load-time checks) is
+  // recomputed from the graph by a Dijkstra bounded to the farthest object,
+  // kept in the row cache under its byte budget, and counted in
+  // OpCounters::decode_fallbacks. Queries stay oracle-correct — any
+  // shortest-path first hop is a valid backtracking link.
+  std::shared_ptr<const RowStage> FallbackRow(NodeId n) const;
+  void ComputeFallbackRow(NodeId n, RowStage* row) const;
 
   const RoadNetwork* graph_;
   std::vector<NodeId> objects_;
@@ -258,17 +264,14 @@ class SignatureIndex {
 
   PagedStore store_;
   const NetworkStore* network_store_ = nullptr;
-  // CPU cache of resolved rows, used when a single-component read hits a
-  // compressed entry (resolution needs the whole row). Sharded LRU with a
+  // CPU cache of resolved rows: rows a single-component read resolved
+  // (resolution needs the whole row) and fallback rows. Sharded LRU with a
   // byte budget and incremental eviction; thread-safe, so RunBatch workers
   // share it. Never null.
-  mutable std::unique_ptr<RowCache> resolved_cache_;
-  // Rows recomputed after a decode failure (see FallbackRow). Bounded by the
-  // number of corrupt rows; guarded by fallback_mu_ for concurrent readers
-  // (values are node-stable: inserts never move them, only the exclusive
-  // maintenance hooks erase).
-  mutable std::mutex fallback_mu_;
-  mutable std::unordered_map<NodeId, SignatureRow> fallback_rows_;
+  mutable std::unique_ptr<RowCache> row_cache_;
+  // Set when a fallback row enters row_cache_; DropFallbackRows clears the
+  // cache only while it is set.
+  mutable std::atomic<bool> fallback_cached_{false};
   // Merged schema: row bits start after the adjacency record inside each
   // node's combined record.
   bool merged_ = false;

@@ -44,7 +44,10 @@ UpdateStats SignatureUpdater::AddEdge(NodeId u, NodeId v, Weight weight,
   // Any network change invalidates the hub-label tier (sticky latch): labels
   // are built offline and cannot be maintained incrementally, so the planner
   // demotes exact distances to the chase/Dijkstra paths until a rebuild.
+  // Fallback rows are recomputed from the graph, so they go too — even when
+  // no signature row changes below.
   index_->InvalidateHubLabels();
+  index_->DropFallbackRows();
   const EdgeId edge = graph_->AddEdge(u, v, weight);
   if (edge_out != nullptr) *edge_out = edge;
   const UpdateStats stats =
@@ -57,6 +60,7 @@ UpdateStats SignatureUpdater::RemoveEdge(EdgeId edge) {
   const UpdateGuard guard(index_->epoch_gate());
   index_->ReclaimRetiredRows();
   index_->InvalidateHubLabels();
+  index_->DropFallbackRows();
   graph_->RemoveEdge(edge);
   const UpdateStats stats = ApplyTreeChanges(
       index_->mutable_forest()->OnEdgeIncreasedOrRemoved(edge));
@@ -68,6 +72,7 @@ UpdateStats SignatureUpdater::SetEdgeWeight(EdgeId edge, Weight weight) {
   const UpdateGuard guard(index_->epoch_gate());
   index_->ReclaimRetiredRows();
   index_->InvalidateHubLabels();
+  index_->DropFallbackRows();
   const Weight old_weight = graph_->edge_weight(edge);
   graph_->SetEdgeWeight(edge, weight);
   UpdateStats stats;
@@ -148,19 +153,19 @@ UpdateStats SignatureUpdater::ApplyTreeChanges(
   if (any_dirty && index_->codec().has_flags()) {
     // Category changes in the object table invalidate the stored compression
     // of rows holding a flagged entry for a dirty object: their decoder-side
-    // resolution would now disagree with the encoder's. Sweep the rows (an
-    // in-memory scan; no page I/O) and schedule the affected ones.
+    // resolution would now disagree with the encoder's. Sweep the rows' flag
+    // lanes (an in-memory scan; no page I/O) and schedule the affected ones.
+    RowStage row;
     for (NodeId n = 0; n < graph_->num_nodes(); ++n) {
-      SignatureRow row;
-      if (!index_->codec().TryDecodeRow(index_->encoded_row(n),
-                                        index_->num_objects(), &row)) {
+      if (!index_->codec().TryDecodeRowStage(index_->encoded_row(n),
+                                             index_->num_objects(), &row)) {
         // Undecodable (in-memory rot): rebuild it from the forest rather
         // than aborting the update.
         nodes.push_back(n);
         continue;
       }
       for (uint32_t o = 0; o < row.size(); ++o) {
-        if (row[o].compressed && dirty_object[o]) {
+        if (row.flags()[o] != 0 && dirty_object[o]) {
           nodes.push_back(n);
           break;
         }

@@ -23,14 +23,15 @@ DegradedKnnResult DegradedKnnQuery(const SignatureIndex& index, NodeId n,
   const ReadSnapshot snapshot(index.epoch_gate());
   DegradedKnnResult result;
   if (k == 0) return result;
-  const SignatureRow row = index.ReadRow(n);
-  k = std::min(k, row.size());
+  static thread_local RowStage stage;
+  index.ReadRowStaged(n, &stage);
+  k = std::min(k, stage.size());
 
   const int m_categories = index.partition().num_categories();
   std::vector<std::vector<uint32_t>> buckets(
       static_cast<size_t>(m_categories));
-  for (uint32_t o = 0; o < row.size(); ++o) {
-    buckets[row[o].category].push_back(o);
+  for (uint32_t o = 0; o < stage.size(); ++o) {
+    buckets[stage.categories()[o]].push_back(o);
   }
   for (int cat = 0; cat < m_categories && result.objects.size() < k; ++cat) {
     const Weight midpoint = CategoryMidpoint(index.partition(), cat);
@@ -48,10 +49,12 @@ RangeQueryResult DegradedRangeQuery(const SignatureIndex& index, NodeId n,
   DSIG_QUERY_TRACE("range_degraded");
   const ReadSnapshot snapshot(index.epoch_gate());
   RangeQueryResult result;
-  const SignatureRow row = index.ReadRow(n);
+  static thread_local RowStage stage;
+  index.ReadRowStaged(n, &stage);
+  const uint8_t* categories = stage.categories();
   const CategoryPartition& partition = index.partition();
-  for (uint32_t o = 0; o < row.size(); ++o) {
-    const DistanceRange range = partition.RangeOf(row[o].category);
+  for (uint32_t o = 0; o < stage.size(); ++o) {
+    const DistanceRange range = partition.RangeOf(categories[o]);
     if (range.ub != kInfiniteWeight && range.ub <= epsilon) {
       result.objects.push_back(o);
       continue;
@@ -59,7 +62,7 @@ RangeQueryResult DegradedRangeQuery(const SignatureIndex& index, NodeId n,
     if (range.lb > epsilon) continue;
     // Straddling: decide by midpoint instead of backtracking.
     ++result.refined;
-    if (CategoryMidpoint(partition, row[o].category) <= epsilon) {
+    if (CategoryMidpoint(partition, categories[o]) <= epsilon) {
       result.objects.push_back(o);
     }
   }
@@ -75,19 +78,23 @@ JoinResult DegradedEpsilonJoin(const SignatureIndex& left,
   DSIG_CHECK_EQ(&left.graph(), &right.graph())
       << "join requires indexes over the same network";
   JoinResult result;
-  const SignatureRow left_row = left.ReadRow(n);
-  const SignatureRow right_row = right.ReadRow(n);
+  static thread_local RowStage left_stage;
+  static thread_local RowStage right_stage;
+  left.ReadRowStaged(n, &left_stage);
+  right.ReadRowStaged(n, &right_stage);
+  const uint8_t* left_categories = left_stage.categories();
+  const uint8_t* right_categories = right_stage.categories();
   const CategoryPartition& lp = left.partition();
   const CategoryPartition& rp = right.partition();
-  for (uint32_t a = 0; a < left_row.size(); ++a) {
-    const DistanceRange ra = lp.RangeOf(left_row[a].category);
-    const Weight mid_a = CategoryMidpoint(lp, left_row[a].category);
-    for (uint32_t b = 0; b < right_row.size(); ++b) {
+  for (uint32_t a = 0; a < left_stage.size(); ++a) {
+    const DistanceRange ra = lp.RangeOf(left_categories[a]);
+    const Weight mid_a = CategoryMidpoint(lp, left_categories[a]);
+    for (uint32_t b = 0; b < right_stage.size(); ++b) {
       if (left.object_node(a) == right.object_node(b)) {
         result.pairs.push_back({a, b});
         continue;
       }
-      const DistanceRange rb = rp.RangeOf(right_row[b].category);
+      const DistanceRange rb = rp.RangeOf(right_categories[b]);
       // Triangle bounds on category ranges, as in the exact join.
       Weight lower = 0;
       if (ra.ub != kInfiniteWeight) lower = std::max(lower, rb.lb - ra.ub);
@@ -102,7 +109,7 @@ JoinResult DegradedEpsilonJoin(const SignatureIndex& left,
         continue;
       }
       // Straddling: decide by midpoint sum instead of exact evaluation.
-      if (mid_a + CategoryMidpoint(rp, right_row[b].category) <= epsilon) {
+      if (mid_a + CategoryMidpoint(rp, right_categories[b]) <= epsilon) {
         result.pairs.push_back({a, b});
       }
     }

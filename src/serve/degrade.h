@@ -6,8 +6,8 @@
 // is exactly what a server wants under overload: an answer whose cost is one
 // row read, no page-chasing, no exact refinement.
 //
-// These evaluators mirror the exact queries (query/knn_query.h etc.) but
-// stop at the category level:
+// These evaluators mirror the exact queries (query/knn_query.h etc.), read
+// the row through the same ReadRowStaged, but stop at the category level:
 //   * kNN: objects of the nearest categories, boundary bucket truncated
 //     arbitrarily, distances estimated as the category midpoint;
 //   * range: category-confirmed objects plus straddling objects decided by

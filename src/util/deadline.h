@@ -14,7 +14,7 @@
 // finite deadline is actually installed; callers in tight loops additionally
 // throttle (check every N iterations).
 //
-// Internal computations whose results outlive the request (e.g. the memoized
+// Internal computations whose results outlive the request (e.g. the cached
 // decode-failure fallback rows in SignatureIndex) must shield themselves
 // with DeadlineScope(Deadline::Infinite()) — a deadline-truncated value must
 // never be cached.

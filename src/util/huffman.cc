@@ -182,15 +182,6 @@ void HuffmanCode::Encode(int symbol, BitWriter* writer) const {
                     lengths_[static_cast<size_t>(symbol)]);
 }
 
-int HuffmanCode::DecodeLongChecked(BitReader* reader) const {
-  int symbol = -1;
-  const bool decoded = DecodeLong(reader, &symbol);
-  // Truncation aborts here instead of inside ReadBit; prefix-less bits abort
-  // here instead of at the trie root check. Either way: abort, as before.
-  DSIG_CHECK(decoded) << "bitstream truncated or follows no symbol's prefix";
-  return symbol;
-}
-
 bool HuffmanCode::DecodeLong(BitReader* reader, int* symbol) const {
   if (rzp_shaped_) {
     // Reverse zero padding beyond the table window: symbol s >= 1 is

@@ -61,28 +61,11 @@ class HuffmanCode {
 
   void Encode(int symbol, BitWriter* writer) const;
 
-  // Decodes one symbol. Codes of up to kDecodeTableBits bits resolve in a
-  // single table lookup (inline — this is the per-component hot path of
-  // every signature decode); longer codes fall back to a unary word-scan
-  // (for reverse-zero-padding-shaped codes) or the bit-at-a-time trie.
-  // Aborts on a truncated or prefix-less stream, like the bit-at-a-time
-  // decoder did.
-  int Decode(BitReader* reader) const {
-    if (!table_.empty()) {
-      const DecodeSlot slot = table_[reader->PeekBits(kDecodeTableBits)];
-      if (slot.length != 0) {
-        // Skip() is bounds-checked, so a code truncated by the end of the
-        // stream still aborts — exactly like the bit-at-a-time walk did.
-        reader->Skip(slot.length);
-        return slot.symbol;
-      }
-    }
-    return DecodeLongChecked(reader);
-  }
-
-  // Non-aborting decode for untrusted bitstreams: false when the stream ends
+  // Decodes one symbol without aborting: false when the stream ends
   // mid-code or the bits follow no symbol's prefix; the reader position is
-  // unspecified afterwards.
+  // unspecified afterwards. Codes of up to kDecodeTableBits bits resolve in
+  // a single table lookup; longer codes fall back to a unary word-scan (for
+  // reverse-zero-padding-shaped codes) or the bit-at-a-time trie.
   bool TryDecode(BitReader* reader, int* symbol) const {
     if (!table_.empty()) {
       const DecodeSlot slot = table_[reader->PeekBits(kDecodeTableBits)];
@@ -110,7 +93,7 @@ class HuffmanCode {
   // `window` (LSB-first stream bits, zero-padded past the stream's end) and
   // returns its code length, or 0 when the code is longer than the table
   // window (or the table is absent) and the caller must fall back to
-  // Decode()/TryDecode(). The caller is responsible for checking that the
+  // TryDecode(). The caller is responsible for checking that the
   // returned length does not run past the end of its stream.
   int DecodeWindow(uint64_t window, int* symbol) const {
     if (table_.empty()) return 0;
@@ -137,11 +120,9 @@ class HuffmanCode {
   // reverse-zero-padding shape for the long-code unary fast path.
   void BuildDecodeTable();
 
-  // Slow path shared by Decode/TryDecode for codes longer than the table
-  // window: trie walk, or a word-level zero-scan when rzp_shaped_.
+  // TryDecode's slow path for codes longer than the table window: trie
+  // walk, or a word-level zero-scan when rzp_shaped_.
   bool DecodeLong(BitReader* reader, int* symbol) const;
-  // DecodeLong for the trusting Decode(): aborts instead of returning false.
-  int DecodeLongChecked(BitReader* reader) const;
 
   std::vector<int> lengths_;
   std::vector<uint64_t> codes_;  // bits emitted LSB-first

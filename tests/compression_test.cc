@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/row_stage.h"
 #include "core/signature_builder.h"
 #include "graph/graph_generator.h"
 #include "tests/test_util.h"
@@ -29,12 +30,14 @@ TEST(CompressionTest, CategoryZeroEntriesNeverCompress) {
   const RoadNetwork g = testing_util::MakeSevenNodeNetwork();
   const auto index = BuildSignatureIndex(
       g, {0, 1, 4}, {.t = 2, .c = 2, .compress = true});
+  RowStage unresolved;
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
-    const SignatureRow unresolved = index->ReadRowUnresolved(n);
-    const SignatureRow resolved = index->ReadRow(n);
+    ASSERT_TRUE(index->codec().TryDecodeRowStage(
+        index->encoded_row(n), index->num_objects(), &unresolved));
+    const SignatureRow resolved = testing_util::StagedRow(*index, n);
     for (size_t i = 0; i < resolved.size(); ++i) {
       if (resolved[i].category == 0) {
-        EXPECT_FALSE(unresolved[i].compressed);
+        EXPECT_EQ(unresolved.flags()[i], 0);
       }
     }
   }
@@ -47,30 +50,32 @@ TEST_P(CompressionRoundTripTest, CompressResolveIsIdentity) {
   const RoadNetwork g =
       MakeRandomPlanar({.num_nodes = 400, .seed = GetParam()});
   const std::vector<NodeId> objects = UniformDataset(g, 0.05, GetParam());
-  // Build WITHOUT compression to get ground-truth rows, then compress and
-  // resolve row by row against the same partition/table.
+  // Build WITHOUT compression to get ground-truth rows, then run each row
+  // through the whole write and read path against the same partition/table:
+  // compress, encode with flag bits, decode into a stage, resolve.
   const auto index = BuildSignatureIndex(
       g, objects, {.t = 5, .c = 2, .compress = false});
   const RowCompressor compressor(&index->partition(), &index->object_table());
+  const SignatureCodec codec(index->codec().category_code(),
+                             index->codec().link_bits(), /*has_flags=*/true);
   size_t total_flagged = 0;
+  RowStage restored;
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
-    const SignatureRow truth = index->ReadRow(n);
+    const SignatureRow truth = testing_util::StagedRow(*index, n);
     SignatureRow work = truth;
     total_flagged += compressor.Compress(&work);
+    ASSERT_TRUE(
+        codec.TryDecodeRowStage(codec.EncodeRow(work), truth.size(), &restored))
+        << "node " << n;
+    ASSERT_TRUE(compressor.TryResolveStage(&restored)) << "node " << n;
     // Every flagged entry must resolve to its original category AND link.
-    SignatureRow restored = work;
-    for (SignatureEntry& e : restored) {
-      if (e.compressed) {
-        e.category = kUnresolvedCategory;
-        e.link = kUnresolvedLink;
-      }
-    }
-    compressor.ResolveRow(&restored);
-    for (size_t i = 0; i < truth.size(); ++i) {
-      EXPECT_EQ(restored[i].category, truth[i].category)
+    EXPECT_FALSE(restored.any_compressed());
+    for (uint32_t i = 0; i < truth.size(); ++i) {
+      EXPECT_EQ(restored.categories()[i], truth[i].category)
           << "node " << n << " object " << i;
-      EXPECT_EQ(restored[i].link, truth[i].link)
+      EXPECT_EQ(restored.links()[i], truth[i].link)
           << "node " << n << " object " << i;
+      EXPECT_EQ(restored.flags()[i], 0) << "node " << n << " object " << i;
     }
   }
   // The whole point of §5.3: a large share of entries compress away.
@@ -81,24 +86,6 @@ TEST_P(CompressionRoundTripTest, CompressResolveIsIdentity) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CompressionRoundTripTest,
                          ::testing::Values(1, 7, 42));
-
-TEST(CompressionTest, SingleResolveMatchesResolveRow) {
-  const RoadNetwork g = MakeRandomPlanar({.num_nodes = 200, .seed = 5});
-  const std::vector<NodeId> objects = UniformDataset(g, 0.08, 5);
-  const auto index =
-      BuildSignatureIndex(g, objects, {.t = 5, .c = 2, .compress = true});
-  for (const NodeId n : testing_util::SampleNodes(g, 20, 3)) {
-    const SignatureRow unresolved = index->ReadRowUnresolved(n);
-    SignatureRow full = unresolved;
-    index->compressor().ResolveRow(&full);
-    for (uint32_t i = 0; i < unresolved.size(); ++i) {
-      const SignatureEntry single =
-          index->compressor().Resolve(unresolved, i);
-      EXPECT_EQ(single.category, full[i].category);
-      EXPECT_EQ(single.link, full[i].link);
-    }
-  }
-}
 
 TEST(CompressionTest, ObjectPairCategoryUsesFarMarker) {
   const RoadNetwork g = MakeRandomPlanar({.num_nodes = 500, .seed = 2});

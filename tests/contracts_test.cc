@@ -57,7 +57,9 @@ TEST(HuffmanContractTest, FromPartsRoundTripsAllFactories) {
       for (int s = 0; s < m; ++s) original.Encode(s, &writer);
       BitReader reader(writer.bytes().data(), writer.size_bits());
       for (int s = 0; s < m; ++s) {
-        EXPECT_EQ(restored.Decode(&reader), s) << "m=" << m << " v=" << variant;
+        int decoded = -1;
+        ASSERT_TRUE(restored.TryDecode(&reader, &decoded));
+        EXPECT_EQ(decoded, s) << "m=" << m << " v=" << variant;
       }
     }
   }

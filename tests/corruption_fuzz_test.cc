@@ -154,18 +154,19 @@ TEST(CorruptionFuzzTest, AllZeroRowsDegradeToDijkstraFallback) {
   std::vector<SignatureRow> expected;
   expected.reserve(c.graph.num_nodes());
   for (NodeId n = 0; n < c.graph.num_nodes(); ++n) {
-    expected.push_back(c.index->ReadRow(n));
+    expected.push_back(testing_util::StagedRow(*c.index, n));
   }
   uint64_t fallbacks = 0;
   for (NodeId n = 0; n < c.graph.num_nodes(); ++n) {
     EncodedRow& encoded = c.index->mutable_encoded_row(n);
     const std::vector<uint8_t> pristine = encoded.bytes;
     std::fill(encoded.bytes.begin(), encoded.bytes.end(), uint8_t{0});
-    SignatureRow direct;
-    ASSERT_FALSE(c.index->codec().TryDecodeRow(encoded, num_objects, &direct))
+    RowStage direct;
+    ASSERT_FALSE(
+        c.index->codec().TryDecodeRowStage(encoded, num_objects, &direct))
         << "all-zero row parsed as a valid signature for node " << n;
     const OpCounters before = GlobalOpCounters();
-    const SignatureRow recovered = c.index->ReadRow(n);
+    const SignatureRow recovered = testing_util::StagedRow(*c.index, n);
     const OpCounters delta = GlobalOpCounters() - before;
     EXPECT_GE(delta.decode_fallbacks, 1u) << "node " << n;
     ++fallbacks;

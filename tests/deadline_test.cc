@@ -217,7 +217,8 @@ TEST(QueryDeadlineTest, JoinMidQueryExpiryYieldsConfirmedSubset) {
 TEST(QueryDeadlineTest, SortAbortLeavesAPermutation) {
   Fixture f;
   const NodeId n = 5;
-  const SignatureRow row = f.index->ReadRow(n);
+  RowStage row;
+  f.index->ReadRowStaged(n, &row);
   std::vector<uint32_t> bucket(f.index->num_objects());
   for (uint32_t o = 0; o < bucket.size(); ++o) bucket[o] = o;
   const std::vector<uint32_t> original = bucket;

@@ -85,9 +85,11 @@ TEST(ApproximateDistanceTest, RangeAlwaysContainsTruth) {
 TEST(RetrievalCursorTest, StepwiseRefinementTightens) {
   const OpsFixture f = OpsFixture::MakeRandom(6);
   const NodeId n = testing_util::SampleNodes(f.graph(), 1, 9)[0];
-  const SignatureRow row = f.index->ReadRow(n);
+  RowStage row;
+  f.index->ReadRowStaged(n, &row);
   for (uint32_t o = 0; o < std::min<size_t>(f.objects.size(), 10); ++o) {
-    RetrievalCursor cursor(f.index.get(), n, o, &row[o]);
+    const SignatureEntry initial = row.entry(o);
+    RetrievalCursor cursor(f.index.get(), n, o, &initial);
     // Invariant at every step: the range contains the true distance. (Lower
     // bounds are not monotone step-to-step — a hop can land on a node whose
     // category is coarser — but containment never breaks.)
@@ -117,7 +119,8 @@ class ExactComparePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(ExactComparePropertyTest, AgreesWithTruth) {
   const OpsFixture f = OpsFixture::MakeRandom(GetParam(), 300, 0.06);
   for (const NodeId n : testing_util::SampleNodes(f.graph(), 15, GetParam())) {
-    const SignatureRow row = f.index->ReadRow(n);
+    RowStage row;
+    f.index->ReadRowStaged(n, &row);
     for (uint32_t a = 0; a < f.objects.size(); ++a) {
       for (uint32_t b = a + 1; b < f.objects.size(); ++b) {
         const CompareResult r = ExactCompare(*f.index, n, a, b, row);
@@ -144,10 +147,12 @@ TEST(ApproximateCompareTest, DifferentCategoriesDecideImmediately) {
   const OpsFixture f = OpsFixture::MakeRandom(3);
   size_t checked = 0;
   for (const NodeId n : testing_util::SampleNodes(f.graph(), 20, 1)) {
-    const SignatureRow row = f.index->ReadRow(n);
+    RowStage row;
+    f.index->ReadRowStaged(n, &row);
+    const uint8_t* categories = row.categories();
     for (uint32_t a = 0; a < f.objects.size() && checked < 500; ++a) {
       for (uint32_t b = a + 1; b < f.objects.size(); ++b) {
-        if (row[a].category == row[b].category) continue;
+        if (categories[a] == categories[b]) continue;
         const CompareResult r = ApproximateCompare(*f.index, n, a, b, row);
         // Cross-category comparisons are exact by category ordering.
         const Weight da = f.truth[a][n], db = f.truth[b][n];
@@ -165,10 +170,12 @@ TEST(ApproximateCompareTest, VotingIsMostlyRightWithinCategory) {
   const OpsFixture f = OpsFixture::MakeRandom(4, 600, 0.05);
   size_t decided = 0, correct = 0;
   for (const NodeId n : testing_util::SampleNodes(f.graph(), 40, 8)) {
-    const SignatureRow row = f.index->ReadRow(n);
+    RowStage row;
+    f.index->ReadRowStaged(n, &row);
+    const uint8_t* categories = row.categories();
     for (uint32_t a = 0; a < f.objects.size(); ++a) {
       for (uint32_t b = a + 1; b < f.objects.size(); ++b) {
-        if (row[a].category != row[b].category) continue;
+        if (categories[a] != categories[b]) continue;
         const CompareResult r = ApproximateCompare(*f.index, n, a, b, row);
         if (r == CompareResult::kEqual) continue;  // abstained
         ++decided;
@@ -188,7 +195,8 @@ class SortPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(SortPropertyTest, SortedOrderMatchesTrueDistances) {
   const OpsFixture f = OpsFixture::MakeRandom(GetParam(), 350, 0.06);
   for (const NodeId n : testing_util::SampleNodes(f.graph(), 10, GetParam())) {
-    const SignatureRow row = f.index->ReadRow(n);
+    RowStage row;
+    f.index->ReadRowStaged(n, &row);
     std::vector<uint32_t> objs(f.objects.size());
     for (uint32_t i = 0; i < objs.size(); ++i) objs[i] = i;
     SortByDistance(*f.index, n, row, &objs);

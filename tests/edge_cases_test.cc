@@ -131,8 +131,9 @@ TEST(StorageInteractionTest, AttachAfterUpdateUsesNewRowSizes) {
   const std::vector<NodeId> order = ComputeCcamOrder(g, 64);
   const NetworkStore network(g, order, &buffer);
   index->AttachStorage(&buffer, &network, order);
+  RowStage stage;
   for (const NodeId n : testing_util::SampleNodes(g, 10, 1)) {
-    index->ReadRow(n);
+    index->ReadRowStaged(n, &stage);
   }
   EXPECT_GT(buffer.stats().logical_accesses, 0u);
 }

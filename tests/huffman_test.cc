@@ -23,7 +23,9 @@ std::vector<int> EncodeDecodeAll(const HuffmanCode& code, int repeats) {
   BitReader reader(writer.bytes().data(), writer.size_bits());
   std::vector<int> decoded;
   for (size_t i = 0; i < symbols.size(); ++i) {
-    decoded.push_back(code.Decode(&reader));
+    int symbol = -1;
+    EXPECT_TRUE(code.TryDecode(&reader, &symbol));
+    decoded.push_back(symbol);
   }
   EXPECT_TRUE(reader.AtEnd());
   return decoded;
@@ -183,7 +185,9 @@ TEST(HuffmanTest, DecodeWindowMatchesDecode) {
       } else {
         EXPECT_EQ(len, 0) << "m=" << m << " s=" << s;  // fallback signal
       }
-      EXPECT_EQ(code.Decode(&reader), s);
+      int decoded = -1;
+      ASSERT_TRUE(code.TryDecode(&reader, &decoded));
+      EXPECT_EQ(decoded, s);
     }
   }
 }

@@ -44,7 +44,8 @@ TEST(MergedStorageTest, MergedChargesCombinedRecords) {
   EXPECT_TRUE(index->merged_storage());
 
   buffer.Clear();
-  index->ReadRow(17);
+  RowStage stage;
+  index->ReadRowStaged(17, &stage);
   EXPECT_GE(buffer.stats().logical_accesses, 1u);
 
   // In merged mode a backtracking step's adjacency + component read usually

@@ -166,7 +166,9 @@ TEST(SignatureIndexPersistenceTest, RoundTripPreservesEverything) {
   EXPECT_EQ(loaded->size_stats().compressed_bits,
             original->size_stats().compressed_bits);
   for (NodeId n = 0; n < graph.num_nodes(); ++n) {
-    EXPECT_EQ(loaded->ReadRow(n), original->ReadRow(n)) << "node " << n;
+    EXPECT_EQ(testing_util::StagedRow(*loaded, n),
+              testing_util::StagedRow(*original, n))
+        << "node " << n;
   }
   // Object table intact (far markers and values).
   for (uint32_t u = 0; u < objects.size(); ++u) {

@@ -1,13 +1,19 @@
 // RowCache behavior: LRU eviction order, the byte budget, the keep-one rule,
 // the disabled (budget 0) bypass — plus the regression the cache exists for:
 // a working set one row over the old wholesale-wipe threshold must degrade by
-// exactly one eviction, not lose everything. The index-level tests at the
-// bottom check that updates invalidate cached resolved rows.
+// exactly one eviction, not lose everything. RowStageTest checks that a
+// cached copy owns its lanes. The index-level tests at the bottom check that
+// updates invalidate cached resolved rows and that rows recomputed after
+// decode faults stay inside the cache budget.
 #include "core/row_cache.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "core/distance_ops.h"
 #include "core/signature_builder.h"
@@ -19,10 +25,15 @@
 namespace dsig {
 namespace {
 
-std::shared_ptr<const SignatureRow> MakeRow(size_t entries) {
-  SignatureRow row(entries);
-  return std::make_shared<const SignatureRow>(std::move(row));
+std::shared_ptr<const RowStage> MakeRow(size_t entries) {
+  auto row = std::make_shared<RowStage>();
+  row->Resize(entries);
+  return row;
 }
+
+// What the cache charges for one row of `entries` entries: the lanes plus a
+// fixed per-row overhead.
+size_t RowBytes(size_t entries) { return MakeRow(entries)->lane_bytes() + 96; }
 
 // One shard makes LRU order across keys observable.
 RowCache::Options SingleShard(size_t byte_budget) {
@@ -42,7 +53,7 @@ TEST(RowCacheTest, MissThenHit) {
 
 TEST(RowCacheTest, EvictsColdestFirst) {
   // Budget fits exactly 3 of these rows; inserting a 4th evicts the LRU one.
-  const size_t row_bytes = 4 * sizeof(SignatureEntry) + 96;
+  const size_t row_bytes = RowBytes(4);
   RowCache cache(SingleShard(3 * row_bytes));
   cache.Put(1, MakeRow(4));
   cache.Put(2, MakeRow(4));
@@ -61,7 +72,7 @@ TEST(RowCacheTest, EvictsColdestFirst) {
 TEST(RowCacheTest, WorkingSetOneOverBudgetLosesExactlyOneRow) {
   // Regression: the pre-cache memo wiped EVERYTHING when full, so a working
   // set one row over the cap got a 0% hit rate. Now exactly one row goes.
-  const size_t row_bytes = 8 * sizeof(SignatureEntry) + 96;
+  const size_t row_bytes = RowBytes(8);
   const size_t w = 16;
   RowCache cache(SingleShard(w * row_bytes));
   for (NodeId n = 0; n < w; ++n) cache.Put(n, MakeRow(8));
@@ -130,7 +141,7 @@ TEST(RowCacheTest, ZeroBudgetDisablesCaching) {
 }
 
 TEST(RowCacheTest, ShardsPartitionTheBudget) {
-  const size_t row_bytes = 4 * sizeof(SignatureEntry) + 96;
+  const size_t row_bytes = RowBytes(4);
   RowCache cache({.byte_budget = 4 * row_bytes, .num_shards = 4});
   // All keys land in shard 0 (multiples of 4): only that shard's quarter of
   // the budget is available, so one row fits (plus the keep-one rule).
@@ -139,6 +150,47 @@ TEST(RowCacheTest, ShardsPartitionTheBudget) {
   cache.Put(8, MakeRow(4));
   EXPECT_EQ(cache.entries(), 1u);
   EXPECT_NE(cache.Get(8), nullptr);
+}
+
+TEST(RowStageTest, CopyOwnsAlignedLanes) {
+  RowStage source;
+  source.Resize(300);  // spare capacity a copy must not inherit
+  source.Resize(100);
+  for (uint32_t i = 0; i < 100; ++i) {
+    source.categories()[i] = static_cast<uint8_t>(i);
+    source.links()[i] = static_cast<uint8_t>(i + 1);
+    source.flags()[i] = static_cast<uint8_t>(i % 2);
+  }
+  source.set_any_compressed(true);
+  source.index_scratch();
+  const RowStage copy = source;
+  RowStage assigned;
+  assigned = source;
+
+  // Refill the source in place, as a query thread refills its scratch stage.
+  source.Resize(100);
+  for (uint32_t i = 0; i < 100; ++i) {
+    source.categories()[i] = 0xEE;
+    source.links()[i] = 0xEE;
+    source.flags()[i] = 0;
+  }
+  const RowStage* const copies[] = {&copy, &assigned};
+  for (const RowStage* stage : copies) {
+    ASSERT_EQ(stage->size(), 100u);
+    EXPECT_TRUE(stage->any_compressed());
+    for (const uint8_t* lane :
+         {stage->categories(), stage->links(), stage->flags()}) {
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(lane) % 64, 0u);
+    }
+    for (uint32_t i = 0; i < 100; ++i) {
+      ASSERT_EQ(stage->categories()[i], i);
+      ASSERT_EQ(stage->links()[i], i + 1);
+      ASSERT_EQ(stage->flags()[i], i % 2);
+    }
+  }
+  // A fresh copy holds the three lanes only: 3 x 128 bytes plus alignment
+  // slack.
+  EXPECT_EQ(copy.lane_bytes(), 3 * 128u + 64u);
 }
 
 // --- Index integration: updates invalidate cached resolved rows ------------
@@ -189,6 +241,51 @@ TEST(RowCacheIndexTest, ConfigureRowCacheZeroBudgetStillAnswersCorrectly) {
     }
   }
   EXPECT_EQ(index->row_cache().entries(), 0u);
+}
+
+// Rows recomputed after decode faults share the cache's byte budget: with
+// every row corrupt and a budget for about a quarter of them, concurrent
+// readers stay exact while the cache stays bounded.
+TEST(RowCacheIndexTest, FallbackRowsStayWithinBudget) {
+  RoadNetwork g = MakeRandomPlanar({.num_nodes = 200, .seed = 21});
+  const std::vector<NodeId> objects = UniformDataset(g, 0.04, 21);
+  ASSERT_GE(objects.size(), 4u);
+  auto index = BuildSignatureIndex(g, objects, {.t = 10, .c = 2.7});
+  const RowCache::Options options{
+      .byte_budget = g.num_nodes() / 4 * RowBytes(objects.size()),
+      .num_shards = 8};
+  index->ConfigureRowCache(options);
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    index->mutable_encoded_row(n).size_bits = 0;
+  }
+  const auto truth = testing_util::BruteForceDistances(g, objects);
+
+  std::atomic<uint64_t> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      RowStage stage;
+      for (NodeId i = 0; i < g.num_nodes(); ++i) {
+        // Threads start at different nodes so their misses interleave.
+        const NodeId n = (i + t * 50) % g.num_nodes();
+        index->ReadRowStaged(n, &stage);
+        for (uint32_t o = 0; o < objects.size(); ++o) {
+          if (stage.categories()[o] !=
+                  index->partition().CategoryOf(truth[o][n]) ||
+              ExactDistance(*index, n, o) != truth[o][n]) {
+            ++mismatches;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GT(index->row_cache().entries(), 0u);
+  EXPECT_LE(index->row_cache().bytes(),
+            options.byte_budget +
+                options.num_shards * RowBytes(objects.size()));
 }
 
 }  // namespace

@@ -18,7 +18,7 @@ TEST(SignatureBuilderTest, CategoriesMatchTrueDistances) {
   const auto index = BuildSignatureIndex(g, objects, {.t = 4, .c = 2});
   const auto truth = testing_util::BruteForceDistances(g, objects);
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
-    const SignatureRow row = index->ReadRow(n);
+    const SignatureRow row = testing_util::StagedRow(*index, n);
     ASSERT_EQ(row.size(), objects.size());
     for (uint32_t o = 0; o < objects.size(); ++o) {
       EXPECT_EQ(row[o].category,
@@ -34,7 +34,7 @@ TEST(SignatureBuilderTest, LinksPointAlongShortestPaths) {
   const auto index = BuildSignatureIndex(g, objects, {.t = 4, .c = 2});
   const auto truth = testing_util::BruteForceDistances(g, objects);
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
-    const SignatureRow row = index->ReadRow(n);
+    const SignatureRow row = testing_util::StagedRow(*index, n);
     for (uint32_t o = 0; o < objects.size(); ++o) {
       if (objects[o] == n) continue;
       // Following the link must decrease the true distance by exactly the
@@ -91,8 +91,8 @@ TEST(SignatureBuilderTest, ObjectsAtTheirOwnNodes) {
   EXPECT_EQ(index->object_node(0), 2u);
   EXPECT_EQ(index->object_node(1), 4u);
   // The object's own entry is category 0.
-  EXPECT_EQ(index->ReadRow(2)[0].category, 0);
-  EXPECT_EQ(index->ReadRow(4)[1].category, 0);
+  EXPECT_EQ(testing_util::StagedRow(*index, 2)[0].category, 0);
+  EXPECT_EQ(testing_util::StagedRow(*index, 4)[1].category, 0);
 }
 
 TEST(SignatureBuilderTest, KeepForestFlag) {
@@ -129,7 +129,8 @@ TEST(SignatureBuilderTest, HuffmanCodeKindBuilds) {
             rzp->size_stats().encoded_bits);
   // Both must decode identically.
   for (const NodeId n : testing_util::SampleNodes(g, 10, 1)) {
-    EXPECT_EQ(rzp->ReadRow(n), huffman->ReadRow(n));
+    EXPECT_EQ(testing_util::StagedRow(*rzp, n),
+              testing_util::StagedRow(*huffman, n));
   }
 }
 

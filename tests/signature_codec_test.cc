@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "core/encoding.h"
+#include "core/row_stage.h"
+#include "tests/test_util.h"
 #include "util/random.h"
 
 namespace dsig {
@@ -19,12 +21,22 @@ SignatureRow RandomRow(Random* rng, size_t size, int categories, int max_link,
   return row;
 }
 
+// Decodes `encoded` through the staged row decoder; a failed decode fails
+// the test and yields an empty row.
+SignatureRow DecodeStaged(const SignatureCodec& codec,
+                          const EncodedRow& encoded, size_t entries) {
+  RowStage stage;
+  const bool ok = codec.TryDecodeRowStage(encoded, entries, &stage);
+  EXPECT_TRUE(ok);
+  return ok ? testing_util::StageEntries(stage) : SignatureRow();
+}
+
 TEST(SignatureCodecTest, RoundTripWithoutFlags) {
   Random rng(3);
   const SignatureCodec codec(HuffmanCode::ReverseZeroPadding(8), 3, false);
   const SignatureRow row = RandomRow(&rng, 100, 8, 7, false);
   const EncodedRow encoded = codec.EncodeRow(row);
-  EXPECT_EQ(codec.DecodeRow(encoded), row);
+  EXPECT_EQ(DecodeStaged(codec, encoded, row.size()), row);
 }
 
 TEST(SignatureCodecTest, RoundTripWithFlags) {
@@ -32,7 +44,7 @@ TEST(SignatureCodecTest, RoundTripWithFlags) {
   const SignatureCodec codec(HuffmanCode::ReverseZeroPadding(8), 3, true);
   SignatureRow row = RandomRow(&rng, 100, 8, 7, true);
   const EncodedRow encoded = codec.EncodeRow(row);
-  const SignatureRow decoded = codec.DecodeRow(encoded);
+  const SignatureRow decoded = DecodeStaged(codec, encoded, row.size());
   ASSERT_EQ(decoded.size(), row.size());
   for (size_t i = 0; i < row.size(); ++i) {
     EXPECT_EQ(decoded[i].compressed, row[i].compressed);
@@ -58,7 +70,9 @@ TEST(SignatureCodecTest, EmptyRow) {
   const SignatureCodec codec(HuffmanCode::ReverseZeroPadding(4), 3, false);
   const EncodedRow encoded = codec.EncodeRow({});
   EXPECT_EQ(encoded.size_bits, 0u);
-  EXPECT_TRUE(codec.DecodeRow(encoded).empty());
+  RowStage stage;
+  EXPECT_TRUE(codec.TryDecodeRowStage(encoded, 0, &stage));
+  EXPECT_TRUE(stage.empty());
 }
 
 TEST(SignatureCodecTest, DecodeEntryMatchesDecodeRow) {
@@ -66,13 +80,25 @@ TEST(SignatureCodecTest, DecodeEntryMatchesDecodeRow) {
   const SignatureCodec codec(HuffmanCode::ReverseZeroPadding(12), 4, true);
   const SignatureRow row = RandomRow(&rng, 200, 12, 15, true);
   const EncodedRow encoded = codec.EncodeRow(row);
-  const SignatureRow decoded = codec.DecodeRow(encoded);
+  const SignatureRow decoded = DecodeStaged(codec, encoded, row.size());
+  ASSERT_EQ(decoded.size(), row.size());
+  // Each component starts where the previous one's flag, category code and
+  // link end; a compressed component is its flag bit alone.
+  uint64_t expected_offset = 0;
   for (uint32_t i = 0; i < row.size(); ++i) {
     uint64_t offset = 0;
-    const SignatureEntry entry = codec.DecodeEntry(encoded, i, &offset);
+    SignatureEntry entry;
+    ASSERT_TRUE(codec.TryDecodeEntry(encoded, i, &entry, &offset))
+        << "entry " << i;
     EXPECT_EQ(entry, decoded[i]) << "entry " << i;
-    EXPECT_LT(offset, encoded.size_bits);
+    EXPECT_EQ(offset, expected_offset) << "entry " << i;
+    expected_offset += 1;
+    if (!row[i].compressed) {
+      expected_offset += static_cast<uint64_t>(
+          codec.category_code().length(row[i].category) + codec.link_bits());
+    }
   }
+  EXPECT_EQ(expected_offset, encoded.size_bits);
 }
 
 TEST(SignatureCodecTest, EntryOffsetsAreMonotone) {
@@ -83,7 +109,9 @@ TEST(SignatureCodecTest, EntryOffsetsAreMonotone) {
   uint64_t prev = 0;
   for (uint32_t i = 0; i < row.size(); ++i) {
     uint64_t offset = 0;
-    codec.DecodeEntry(encoded, i, &offset);
+    SignatureEntry entry;
+    ASSERT_TRUE(codec.TryDecodeEntry(encoded, i, &entry, &offset));
+    EXPECT_EQ(entry, row[i]) << "entry " << i;
     if (i > 0) {
       EXPECT_GT(offset, prev);
     }
@@ -107,7 +135,7 @@ TEST(SignatureCodecTest, FixedCodecRoundTrip) {
   const SignatureCodec codec(
       BuildCategoryCode(CategoryCodeKind::kFixed, 10, {}), 3, false);
   const SignatureRow row = RandomRow(&rng, 64, 10, 7, false);
-  EXPECT_EQ(codec.DecodeRow(codec.EncodeRow(row)), row);
+  EXPECT_EQ(DecodeStaged(codec, codec.EncodeRow(row), row.size()), row);
 }
 
 }  // namespace

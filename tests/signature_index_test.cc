@@ -18,7 +18,7 @@ TEST(SignatureIndexTest, ReadEntryMatchesReadRow) {
   const std::vector<NodeId> objects = UniformDataset(g, 0.06, 3);
   const auto index = BuildSignatureIndex(g, objects, {.t = 5, .c = 2});
   for (const NodeId n : testing_util::SampleNodes(g, 15, 1)) {
-    const SignatureRow row = index->ReadRow(n);
+    const SignatureRow row = testing_util::StagedRow(*index, n);
     for (uint32_t o = 0; o < objects.size(); ++o) {
       const SignatureEntry entry = index->ReadEntry(n, o);
       EXPECT_EQ(entry.category, row[o].category);
@@ -37,7 +37,8 @@ TEST(SignatureIndexTest, StorageChargesRowPages) {
   const NetworkStore network(g, order, &buffer);
   index->AttachStorage(&buffer, &network, order);
 
-  index->ReadRow(77);
+  RowStage stage;
+  index->ReadRowStaged(77, &stage);
   const uint64_t after_row = buffer.stats().logical_accesses;
   EXPECT_GE(after_row, 1u);
   index->ReadEntry(77, 0);
@@ -59,7 +60,7 @@ TEST(SignatureIndexTest, BacktrackingChargesAdjacencyAndSignaturePages) {
   // backtracking hop charges pages.
   const NodeId n = order.back();
   uint32_t far_object = 0;
-  const SignatureRow row = index->ReadRow(n);
+  const SignatureRow row = testing_util::StagedRow(*index, n);
   for (uint32_t o = 0; o < row.size(); ++o) {
     if (row[o].category > row[far_object].category) far_object = o;
   }
@@ -94,7 +95,7 @@ TEST(SignatureIndexTest, ReplaceRowCountsChanges) {
   const RoadNetwork g = testing_util::MakeSevenNodeNetwork();
   const std::vector<NodeId> objects = {1, 5};
   auto index = BuildSignatureIndex(g, objects, {.t = 4, .c = 2});
-  const SignatureRow row = index->ReadRow(0);
+  const SignatureRow row = testing_util::StagedRow(*index, 0);
   // Writing the identical row back changes nothing.
   SignatureRow same = row;
   index->compressor().Compress(&same);
@@ -108,7 +109,7 @@ TEST(SignatureIndexTest, ReplaceRowCountsChanges) {
 TEST(SignatureIndexTest, SizeStatsTrackReplaceRow) {
   const RoadNetwork g = testing_util::MakeSevenNodeNetwork();
   auto index = BuildSignatureIndex(g, {1, 5}, {.t = 4, .c = 2});
-  SignatureRow row = index->ReadRow(0);
+  SignatureRow row = testing_util::StagedRow(*index, 0);
   index->ReplaceRow(0, row);  // resolved rewrite may change the stored size
   // Invariant: the running total always equals the sum over encoded rows.
   uint64_t total = 0;

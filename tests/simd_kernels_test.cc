@@ -301,17 +301,32 @@ TEST(SimdKernelsTest, OverridePinsAndRestores) {
 
 // --- Staged rows and whole queries across dispatch levels -----------------
 
-TEST(SimdStagedRowTest, StagedReadMatchesAosReadAtEveryLevel) {
+TEST(SimdStagedRowTest, StagedReadMatchesUncompressedBuildAtEveryLevel) {
+  // Reference: the same network and objects built without compression, so
+  // its rows never go through the resolve step, read at the scalar level.
   const RoadNetwork g = MakeRandomPlanar({.num_nodes = 300, .seed = 11});
   const std::vector<NodeId> objects = UniformDataset(g, 0.08, 11);
   const auto index = BuildSignatureIndex(g, objects, {.t = 5, .c = 2});
+  ASSERT_GT(index->size_stats().compressed_entries, 0u);
+  const auto plain =
+      BuildSignatureIndex(g, objects, {.t = 5, .c = 2, .compress = false});
+  const std::vector<NodeId> nodes = testing_util::SampleNodes(g, 40, 11);
+  std::vector<SignatureRow> reference;
+  {
+    simd::SimdOverride pin(SimdLevel::kScalar);
+    ASSERT_TRUE(pin.applied());
+    for (const NodeId n : nodes) {
+      reference.push_back(testing_util::StagedRow(*plain, n));
+    }
+  }
   RowStage stage;
   for (const SimdLevel level : simd::AvailableLevels()) {
     SCOPED_TRACE(simd::SimdLevelName(level));
     simd::SimdOverride pin(level);
     ASSERT_TRUE(pin.applied());
-    for (const NodeId n : testing_util::SampleNodes(g, 40, 11)) {
-      const SignatureRow row = index->ReadRow(n);
+    for (size_t k = 0; k < nodes.size(); ++k) {
+      const NodeId n = nodes[k];
+      const SignatureRow& row = reference[k];
       index->ReadRowStaged(n, &stage);
       ASSERT_EQ(stage.size(), row.size());
       EXPECT_FALSE(stage.any_compressed());

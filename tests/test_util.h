@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "core/row_stage.h"
+#include "core/signature_index.h"
 #include "graph/dijkstra.h"
 #include "graph/graph_generator.h"
 #include "graph/road_network.h"
@@ -49,6 +51,20 @@ inline std::vector<std::vector<Weight>> BruteForceDistances(
     result.push_back(RunDijkstra(graph, s).dist);
   }
   return result;
+}
+
+// A stage's entries as one vector, for whole-row comparisons.
+inline SignatureRow StageEntries(const RowStage& stage) {
+  SignatureRow row(stage.size());
+  for (uint32_t i = 0; i < stage.size(); ++i) row[i] = stage.entry(i);
+  return row;
+}
+
+// Node `n`'s resolved row, read through SignatureIndex::ReadRowStaged.
+inline SignatureRow StagedRow(const SignatureIndex& index, NodeId n) {
+  RowStage stage;
+  index.ReadRowStaged(n, &stage);
+  return StageEntries(stage);
 }
 
 // Distinct random nodes.

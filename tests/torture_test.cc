@@ -175,7 +175,8 @@ TEST_P(TortureTest, RandomOperationSoak) {
       case 8: {  // comparison coherence
         const auto a = static_cast<uint32_t>(rng.NextUint64(objects.size()));
         const auto b = static_cast<uint32_t>(rng.NextUint64(objects.size()));
-        const SignatureRow row = index->ReadRow(q);
+        RowStage row;
+        index->ReadRowStaged(q, &row);
         const CompareResult r = ExactCompare(*index, q, a, b, row);
         const Weight da = oracle.Distance(q, a), db = oracle.Distance(q, b);
         if (da < db) {

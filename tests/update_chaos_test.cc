@@ -48,7 +48,7 @@ void ExpectIndexMatchesRebuild(const RoadNetwork& g,
                                const SignatureIndex& maintained) {
   const auto truth = testing_util::BruteForceDistances(g, objects);
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
-    const SignatureRow row = maintained.ReadRow(n);
+    const SignatureRow row = testing_util::StagedRow(maintained, n);
     ASSERT_EQ(row.size(), objects.size());
     for (uint32_t o = 0; o < row.size(); ++o) {
       ASSERT_EQ(row[o].category,

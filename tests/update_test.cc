@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <memory>
 
 #include "core/distance_ops.h"
 #include "core/signature_builder.h"
@@ -26,7 +27,7 @@ void ExpectIndexMatchesRebuild(const RoadNetwork& g,
                                const SignatureIndex& maintained) {
   const auto truth = testing_util::BruteForceDistances(g, objects);
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
-    const SignatureRow row = maintained.ReadRow(n);
+    const SignatureRow row = testing_util::StagedRow(maintained, n);
     ASSERT_EQ(row.size(), objects.size());
     for (uint32_t o = 0; o < row.size(); ++o) {
       EXPECT_EQ(row[o].category,
@@ -267,6 +268,52 @@ TEST(SignatureUpdaterTest, UpdateLocalityIsBounded) {
   ASSERT_GT(updates, 0);
   // On average far fewer than all rows are rewritten per update.
   EXPECT_LT(total_rows / static_cast<size_t>(updates), g.num_nodes() / 4);
+}
+
+// Fallback rows are recomputed from the graph, so every network change must
+// drop them, including one that rewrites no signature row. Network: n=0,
+// d=1, a=2, b=3, o=4 with two equal-length paths n-a-o (2+2) and n-b-d-o
+// (1+1+2) to the only object o. The forest links n via a; with n's stored
+// row corrupt, the recomputed fallback row links n via b instead.
+struct FallbackFixture {
+  RoadNetwork graph;
+  EdgeId n_b = kInvalidEdge;
+  EdgeId b_d = kInvalidEdge;
+  std::unique_ptr<SignatureIndex> index;
+
+  FallbackFixture() {
+    for (int i = 0; i < 5; ++i) graph.AddNode({static_cast<double>(i), 0});
+    graph.AddEdge(0, 2, 2);
+    graph.AddEdge(2, 4, 2);
+    n_b = graph.AddEdge(0, 3, 1);
+    b_d = graph.AddEdge(3, 1, 1);
+    graph.AddEdge(1, 4, 2);
+    index = BuildSignatureIndex(graph, {4},
+                                {.t = 4, .c = 2, .keep_forest = true});
+    index->mutable_encoded_row(0).size_bits = 0;
+  }
+};
+
+TEST(SignatureUpdaterTest, UnrelatedWeightChangeDropsFallbackRow) {
+  FallbackFixture f;
+  EXPECT_EQ(ExactDistance(*f.index, 0, 0), 4);  // caches n's fallback (via b)
+  // No tree uses n-b, so nothing is rewritten; the cached fallback row would
+  // still route n through the now longer edge.
+  SignatureUpdater updater(&f.graph, f.index.get());
+  const UpdateStats stats = updater.SetEdgeWeight(f.n_b, 5);
+  EXPECT_EQ(stats.rows_rewritten, 0u);
+  EXPECT_EQ(ExactDistance(*f.index, 0, 0), 4);
+}
+
+TEST(SignatureUpdaterTest, RewrittenNeighbourDoesNotCycleThroughFallbackRow) {
+  FallbackFixture f;
+  EXPECT_EQ(ExactDistance(*f.index, 0, 0), 4);  // caches n's fallback (via b)
+  // b's row is rewritten to point back at n; a stale fallback for n still
+  // pointing at b would make the link chain cycle.
+  SignatureUpdater updater(&f.graph, f.index.get());
+  EXPECT_GT(updater.SetEdgeWeight(f.b_d, 10).rows_rewritten, 0u);
+  EXPECT_EQ(ExactDistance(*f.index, 0, 0), 4);
+  EXPECT_EQ(ExactDistance(*f.index, 3, 0), 5);
 }
 
 // Regression: a hot decoded-row cache must never serve a resolution

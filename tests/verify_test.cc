@@ -57,7 +57,7 @@ TEST(VerifyTest, DetectsUndecodableRow) {
   Fixture f = MakeFixture(10);
   const NodeId n = NonObjectNode(f);
   // One extra phantom bit: the row now ends mid-component or decodes to a
-  // surplus entry; either way TryDecodeRow must say no.
+  // surplus entry; either way TryDecodeRowStage must say no.
   f.index->mutable_encoded_row(n).size_bits += 1;
   const Status status = f.index->Verify();
   ASSERT_FALSE(status.ok());
@@ -69,7 +69,7 @@ TEST(VerifyTest, DetectsUndecodableRow) {
 TEST(VerifyTest, DetectsLinkBeyondAdjacencyList) {
   Fixture f = MakeFixture(11);
   const NodeId n = NonObjectNode(f);
-  SignatureRow row = f.index->ReadRow(n);
+  SignatureRow row = testing_util::StagedRow(*f.index, n);
   uint32_t o = 0;
   while (f.objects[o] == n) ++o;
   // The codec's link width has one bit of headroom over max_degree, so the
@@ -86,7 +86,7 @@ TEST(VerifyTest, DetectsLinkBeyondAdjacencyList) {
 TEST(VerifyTest, DetectsCategoryChainDisagreement) {
   Fixture f = MakeFixture(12);
   const NodeId n = NonObjectNode(f);
-  SignatureRow row = f.index->ReadRow(n);
+  SignatureRow row = testing_util::StagedRow(*f.index, n);
   uint32_t o = 0;
   while (f.objects[o] == n) ++o;
   const int m = f.index->partition().num_categories();
@@ -112,8 +112,8 @@ TEST(VerifyTest, DetectsLinkCycle) {
       continue;
     }
     const uint32_t o = 0;
-    SignatureRow row_u = f.index->ReadRow(u);
-    SignatureRow row_v = f.index->ReadRow(v);
+    SignatureRow row_u = testing_util::StagedRow(*f.index, u);
+    SignatureRow row_v = testing_util::StagedRow(*f.index, v);
     row_u[o].link = static_cast<uint8_t>(f.graph.AdjacencyIndexOf(u, e));
     row_v[o].link = static_cast<uint8_t>(f.graph.AdjacencyIndexOf(v, e));
     ReplaceRowBits(f.index.get(), u, row_u);
