@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <numeric>
 #include <queue>
@@ -12,6 +11,7 @@
 
 #include "graph/dijkstra.h"
 #include "obs/metrics.h"
+#include "util/bitstream.h"
 #include "util/logging.h"
 #include "util/simd/simd.h"
 #include "util/thread_pool.h"
@@ -20,65 +20,32 @@ namespace dsig {
 namespace {
 
 constexpr uint32_t kLabelMagic = 0x4c475344;  // "DSGL"
-constexpr uint32_t kLabelVersion = 1;
+constexpr uint32_t kLabelVersion = 2;
 
-// Little-endian blob packing. The blob travels inside a CRC32C file section,
-// so these helpers only need structure checks, not integrity ones.
-void AppendU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+// v2 blob header (layout in hub_labels.h): magic and version at 32 bits;
+// node count, mean-weight IEEE bits, pruned settles and entry count at 64;
+// then the three field widths at 8 bits each. 43 bytes, byte-aligned.
+constexpr int kWidthFieldBits = 8;
+constexpr size_t kHeaderBits = 2 * 32 + 4 * 64 + 3 * kWidthFieldBits;
+static_assert(kHeaderBits % 8 == 0);
+// Ranks and label lengths are u32s.
+constexpr int kMaxIndexWidth = 32;
+// Integers below 2^53 convert to double and back exactly.
+constexpr int kMaxIntegerDistanceWidth = 53;
+// The distance width that marks raw IEEE-754 bit patterns.
+constexpr int kRawDistanceWidth = 64;
+
+// Bits for values in [0, max_value]. Never 0: a zero-width field would let
+// a few header bytes claim any count.
+int FieldWidth(uint64_t max_value) {
+  return std::max(1, static_cast<int>(std::bit_width(max_value)));
 }
 
-void AppendU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+// True when `d` round-trips through a uint64_t bit for bit: whole,
+// non-negative (and not -0.0), below 2^53. NaN fails the comparison.
+bool IsPackableDistance(double d) {
+  return !std::signbit(d) && d < 0x1p53 && d == std::floor(d);
 }
-
-void AppendF64(std::vector<uint8_t>* out, double v) {
-  AppendU64(out, std::bit_cast<uint64_t>(v));
-}
-
-// Bounds-checked little-endian reader over the blob.
-class BlobReader {
- public:
-  explicit BlobReader(const std::vector<uint8_t>& blob) : blob_(blob) {}
-
-  bool ok() const { return ok_; }
-  bool AtEnd() const { return pos_ == blob_.size(); }
-  uint64_t remaining() const { return blob_.size() - pos_; }
-
-  uint32_t ReadU32() {
-    uint32_t v = 0;
-    if (!Take(4)) return 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(blob_[pos_ - 4 + i]) << (8 * i);
-    }
-    return v;
-  }
-
-  uint64_t ReadU64() {
-    uint64_t v = 0;
-    if (!Take(8)) return 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(blob_[pos_ - 8 + i]) << (8 * i);
-    }
-    return v;
-  }
-
-  double ReadF64() { return std::bit_cast<double>(ReadU64()); }
-
- private:
-  bool Take(size_t n) {
-    if (!ok_ || blob_.size() - pos_ < n) {
-      ok_ = false;
-      return false;
-    }
-    pos_ += n;
-    return true;
-  }
-
-  const std::vector<uint8_t>& blob_;
-  size_t pos_ = 0;
-  bool ok_ = true;
-};
 
 double MeanLiveEdgeWeight(const RoadNetwork& graph) {
   double sum = 0;
@@ -275,35 +242,55 @@ void HubLabels::EnsureDecoded() const {
 }
 
 bool HubLabels::DecodeBlob() const {
-  BlobReader reader(blob_);
-  if (reader.ReadU32() != kLabelMagic) return false;
-  if (reader.ReadU32() != kLabelVersion) return false;
-  const uint64_t n = reader.ReadU64();
-  const double mean_weight = reader.ReadF64();
-  const uint64_t pruned = reader.ReadU64();
-  if (!reader.ok()) return false;
-  // Every node contributes >= 4 bytes of rank plus >= 8 of offset; reject
-  // absurd counts before any allocation.
-  if (n > reader.remaining() / 12) return false;
+  // BitReader::ReadBits aborts past the end of the stream, so every read
+  // below is covered by a length check made before it.
+  if (blob_.size() < kHeaderBits / 8) return false;
+  BitReader in(blob_);
+  if (in.ReadBits(32) != kLabelMagic) return false;
+  if (in.ReadBits(32) != kLabelVersion) return false;
+  const uint64_t n = in.ReadBits(64);
+  const double mean_weight = std::bit_cast<double>(in.ReadBits(64));
+  const uint64_t pruned = in.ReadBits(64);
+  const uint64_t entries = in.ReadBits(64);
+  const int hub_width = static_cast<int>(in.ReadBits(kWidthFieldBits));
+  const int len_width = static_cast<int>(in.ReadBits(kWidthFieldBits));
+  const int dist_width = static_cast<int>(in.ReadBits(kWidthFieldBits));
   if (!std::isfinite(mean_weight) || mean_weight <= 0) return false;
+  if (hub_width < 1 || hub_width > kMaxIndexWidth || len_width < 1 ||
+      len_width > kMaxIndexWidth) {
+    return false;
+  }
+  const bool raw = dist_width == kRawDistanceWidth;
+  if (dist_width < 1 || (dist_width > kMaxIntegerDistanceWidth && !raw)) {
+    return false;
+  }
+  // Both counts against the bits left, before any pool is allocated. The
+  // blob ends inside the byte holding the last field, on zero padding.
+  const uint64_t left = in.size_bits() - in.position();
+  const uint64_t node_bits = static_cast<uint64_t>(hub_width + len_width);
+  const uint64_t entry_bits = static_cast<uint64_t>(hub_width + dist_width);
+  if (n > left / node_bits) return false;
+  if (entries > (left - n * node_bits) / entry_bits) return false;
+  const uint64_t padding = left - n * node_bits - entries * entry_bits;
+  if (padding >= 8) return false;
 
   std::vector<uint32_t> rank_of(n);
-  for (uint64_t v = 0; v < n; ++v) rank_of[v] = reader.ReadU32();
-  std::vector<uint64_t> offsets(n + 1);
-  for (uint64_t v = 0; v <= n; ++v) offsets[v] = reader.ReadU64();
-  if (!reader.ok()) return false;
-  if (offsets[0] != 0) return false;
+  for (uint32_t& r : rank_of) r = static_cast<uint32_t>(in.ReadBits(hub_width));
+  std::vector<uint64_t> offsets(n + 1, 0);
   for (uint64_t v = 0; v < n; ++v) {
-    if (offsets[v + 1] < offsets[v]) return false;
+    offsets[v + 1] = offsets[v] + in.ReadBits(len_width);
+    if (offsets[v + 1] > entries) return false;
   }
-  const uint64_t entries = offsets[n];
-  if (entries > reader.remaining() / 12) return false;
-
+  if (offsets[n] != entries) return false;
   std::vector<uint32_t> hubs(entries);
-  for (uint64_t i = 0; i < entries; ++i) hubs[i] = reader.ReadU32();
+  for (uint32_t& h : hubs) h = static_cast<uint32_t>(in.ReadBits(hub_width));
   std::vector<double> dists(entries);
-  for (uint64_t i = 0; i < entries; ++i) dists[i] = reader.ReadF64();
-  if (!reader.ok() || !reader.AtEnd()) return false;
+  if (raw) {
+    for (double& d : dists) d = std::bit_cast<double>(in.ReadBits(64));
+  } else {
+    for (double& d : dists) d = static_cast<double>(in.ReadBits(dist_width));
+  }
+  if (in.ReadBits(static_cast<int>(padding)) != 0) return false;
 
   // Structural checks the kernel contract depends on: per-label hubs are
   // strictly ascending ranks below n, distances finite and non-negative.
@@ -358,19 +345,47 @@ HubLabelStats HubLabels::stats() const {
 
 std::vector<uint8_t> HubLabels::Serialize() const {
   DSIG_CHECK(ready()) << "cannot serialize undecodable hub labels";
-  std::vector<uint8_t> blob;
-  const uint64_t entries = offsets_.empty() ? 0 : offsets_.back();
-  blob.reserve(40 + num_nodes_ * 12 + 8 + entries * 12);
-  AppendU32(&blob, kLabelMagic);
-  AppendU32(&blob, kLabelVersion);
-  AppendU64(&blob, num_nodes_);
-  AppendF64(&blob, mean_edge_weight_);
-  AppendU64(&blob, pruned_settles_);
-  for (size_t v = 0; v < num_nodes_; ++v) AppendU32(&blob, rank_of_[v]);
-  for (size_t v = 0; v <= num_nodes_; ++v) AppendU64(&blob, offsets_[v]);
-  for (const uint32_t h : hubs_) AppendU32(&blob, h);
-  for (const double d : dists_) AppendF64(&blob, d);
-  return blob;
+  const uint64_t n = num_nodes_;
+  const uint64_t entries = offsets_.back();
+  uint64_t longest = 0;
+  for (uint64_t v = 0; v < n; ++v) {
+    longest = std::max(longest, offsets_[v + 1] - offsets_[v]);
+  }
+  const bool packable =
+      std::all_of(dists_.begin(), dists_.end(), IsPackableDistance);
+  const double max_dist =
+      dists_.empty() ? 0 : *std::max_element(dists_.begin(), dists_.end());
+  const int hub_width = FieldWidth(n == 0 ? 0 : n - 1);
+  const int len_width = FieldWidth(longest);
+  const int dist_width = packable
+                             ? FieldWidth(static_cast<uint64_t>(max_dist))
+                             : kRawDistanceWidth;
+
+  BitWriter out;
+  out.Reserve(kHeaderBits + n * static_cast<uint64_t>(hub_width + len_width) +
+              entries * static_cast<uint64_t>(hub_width + dist_width));
+  out.WriteBits(kLabelMagic, 32);
+  out.WriteBits(kLabelVersion, 32);
+  out.WriteBits(n, 64);
+  out.WriteBits(std::bit_cast<uint64_t>(mean_edge_weight_), 64);
+  out.WriteBits(pruned_settles_, 64);
+  out.WriteBits(entries, 64);
+  out.WriteBits(static_cast<uint64_t>(hub_width), kWidthFieldBits);
+  out.WriteBits(static_cast<uint64_t>(len_width), kWidthFieldBits);
+  out.WriteBits(static_cast<uint64_t>(dist_width), kWidthFieldBits);
+  for (uint64_t v = 0; v < n; ++v) out.WriteBits(rank_of_[v], hub_width);
+  for (uint64_t v = 0; v < n; ++v) {
+    out.WriteBits(offsets_[v + 1] - offsets_[v], len_width);
+  }
+  for (const uint32_t h : hubs_) out.WriteBits(h, hub_width);
+  if (packable) {
+    for (const double d : dists_) {
+      out.WriteBits(static_cast<uint64_t>(d), dist_width);
+    }
+  } else {
+    for (const double d : dists_) out.WriteBits(std::bit_cast<uint64_t>(d), 64);
+  }
+  return out.TakeBytes();
 }
 
 Status HubLabels::VerifyStructure(const RoadNetwork& graph) const {

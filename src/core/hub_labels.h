@@ -36,10 +36,39 @@
 // network change makes them permanently stale (MarkStale, a sticky latch the
 // updater trips) until a rebuild installs a fresh instance; the planner
 // demotes stale labels to the incrementally-maintained signature/Dijkstra
-// paths. Persistence: one opaque blob (Serialize / FromSerialized) stored as
-// an optional CRC32C section of the index file; decode is lazy — deferred to
-// first use — so loading an index never pays for a tier the workload may not
-// touch.
+// paths.
+//
+// Persistence: one opaque blob (Serialize / FromSerialized) stored as an
+// optional CRC32C section of the index file. Format v2 is a BitWriter stream
+// (LSB-first) in which every field of a kind has one fixed bit width:
+//
+//   header  magic "DSGL" (32) | version 2 (32) | node count n (64) |
+//           mean edge weight, IEEE bits (64) | pruned settles (64) |
+//           entry count (64) | hub width | length width | distance width
+//           (8 each) — 43 bytes
+//   ranks   rank_of[v] for every node, at the hub width
+//   lengths |L(v)| for every node, at the length width
+//   hubs    every label's hub ranks in pool order, at the hub width
+//   dists   every label's distances in pool order, at the distance width
+//
+// then zero padding to the byte. The writer picks the narrowest widths:
+// bit_width(n - 1) for ranks and hubs, bit_width(longest label) for lengths
+// and bit_width(max distance) for distances, each at least 1. Distances are
+// stored as integers — every generator and DIMACS file has integer weights,
+// so every label distance is a whole number. If any distance would not
+// survive that bit for bit (fractional, negative, -0.0, or 2^53 and above),
+// all of them are stored as raw 64-bit IEEE patterns instead, marked by a
+// distance width of 64. At 20k nodes the blob is about a quarter of v1's
+// full-width u32/u64/f64 arrays.
+//
+// The decoder trusts nothing: it checks the widths (1..32 for hubs and
+// lengths, 1..53 or 64 for distances) and both counts against the bits left
+// before it allocates a pool, requires the lengths to sum to the entry count
+// and the stream to end on the last field, then checks the label structure.
+// Any other version, v1 included, does not decode: a file written before v2
+// loads without a usable label tier (ready() == false), and a deep
+// SignatureIndex::Verify of it reports the label section. Decode is lazy — deferred to first use — so
+// loading an index never pays for a tier the workload may not touch.
 #ifndef DSIG_CORE_HUB_LABELS_H_
 #define DSIG_CORE_HUB_LABELS_H_
 
@@ -122,9 +151,10 @@ class HubLabels {
 
   // --- Persistence ---------------------------------------------------------
 
-  // Opaque little-endian blob (internal magic + version). The caller frames
-  // it (CRC section, length prefix); FromSerialized re-checks the internal
-  // structure on lazy decode anyway, so torn frames degrade, not crash.
+  // The v2 bit-packed blob described at the top of this file. The caller
+  // frames it (CRC section, length prefix); FromSerialized re-checks the
+  // internal structure on lazy decode anyway, so torn frames degrade, not
+  // crash. Decoding the blob reproduces the pools bit for bit.
   std::vector<uint8_t> Serialize() const;
 
   // --- Integrity -----------------------------------------------------------

@@ -10,7 +10,7 @@
 namespace dsig {
 namespace obs {
 namespace internal {
-thread_local QueryTrace* g_active_trace = nullptr;
+constinit thread_local QueryTrace* g_active_trace = nullptr;
 }  // namespace internal
 using internal::g_active_trace;
 

@@ -57,8 +57,11 @@ namespace internal {
 // The root trace of the thread's current query, if tracing is on. Exposed
 // so Span's disabled fast path inlines to a thread-local load and a branch
 // — spans sit on per-backtrack-step and per-entry-decode paths where even
-// an out-of-line call shows up in bench_knn at k = 50.
-extern thread_local QueryTrace* g_active_trace;
+// an out-of-line call shows up in bench_knn at k = 50. constinit tells every
+// including TU the variable needs no dynamic initialization, so the load
+// goes straight to the TLS slot instead of through a TLS-init wrapper call
+// (whose weak-symbol null check UBSan reports as a null-pointer load).
+extern constinit thread_local QueryTrace* g_active_trace;
 }  // namespace internal
 
 // The query trace currently open on this thread, if any.

@@ -1,22 +1,116 @@
 // Differential tests of the exact-distance hub-label tier (core/hub_labels):
 // every pairwise label distance must equal the Dijkstra ground truth — bit
 // for bit, since the generators produce integer edge weights — on all three
-// generator families, with serialization round-trips, the sticky stale
-// latch, and structural verification catching tampering.
+// generator families, with bit-identical serialization round-trips, a
+// corruption sweep of the blob decoder, the sticky stale latch, and
+// structural verification catching tampering.
 #include "core/hub_labels.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <initializer_list>
 #include <vector>
 
 #include "graph/dijkstra.h"
 #include "graph/graph_generator.h"
 #include "tests/test_util.h"
+#include "util/bitstream.h"
 #include "util/thread_pool.h"
 
 namespace dsig {
 namespace {
+
+// Byte offsets of the v2 blob header fields (layout in core/hub_labels.h).
+constexpr size_t kVersionByte = 4;
+constexpr size_t kNodeCountByte = 8;
+constexpr size_t kEntryCountByte = 32;
+constexpr size_t kHubWidthByte = 40;
+constexpr size_t kLengthWidthByte = 41;
+constexpr size_t kDistWidthByte = 42;
+constexpr size_t kHeaderBytes = 43;
+
+// Decodes `blob` and expects exactly `built`'s pools: label lengths, hubs,
+// distance bit patterns and the header scalars. Re-encoding must reproduce
+// the blob, which also covers the vertex order.
+void ExpectDecodesBitIdentical(const HubLabels& built,
+                               const std::vector<uint8_t>& blob) {
+  const auto loaded = HubLabels::FromSerialized(blob);
+  ASSERT_TRUE(loaded->ready());
+  ASSERT_EQ(loaded->num_nodes(), built.num_nodes());
+  EXPECT_EQ(std::bit_cast<uint64_t>(loaded->mean_edge_weight()),
+            std::bit_cast<uint64_t>(built.mean_edge_weight()));
+  EXPECT_EQ(loaded->stats().pruned_settles, built.stats().pruned_settles);
+  for (NodeId v = 0; v < built.num_nodes(); ++v) {
+    ASSERT_EQ(loaded->label_size(v), built.label_size(v)) << "node " << v;
+    for (size_t i = 0; i < built.label_size(v); ++i) {
+      ASSERT_EQ(loaded->hubs(v)[i], built.hubs(v)[i]) << "node " << v;
+      ASSERT_EQ(std::bit_cast<uint64_t>(loaded->dists(v)[i]),
+                std::bit_cast<uint64_t>(built.dists(v)[i]))
+          << "node " << v;
+    }
+  }
+  EXPECT_EQ(loaded->Serialize(), blob);
+}
+
+// A ring with chords whose weights step by 0.1, so most label distances are
+// not whole numbers and the blob must fall back to raw IEEE distances.
+RoadNetwork MakeFractionalWeightNetwork() {
+  RoadNetwork g;
+  constexpr NodeId kNodes = 40;
+  for (NodeId i = 0; i < kNodes; ++i) {
+    g.AddNode({static_cast<double>(i), 0});
+  }
+  for (NodeId i = 0; i < kNodes; ++i) {
+    g.AddEdge(i, (i + 1) % kNodes, 0.1 * (i % 7 + 1));
+  }
+  for (NodeId i = 0; i < kNodes; i += 5) {
+    g.AddEdge(i, (i + 13) % kNodes, 0.3 * (i % 4 + 1));
+  }
+  return g;
+}
+
+// A one-node blob written field by field at the given widths: node 0 at
+// rank 0 with a label length of 1, then `entries` pool entries of (hub 0,
+// distance 0). The payload always matches the widths; an `entries` other
+// than 1 disagrees with the label length.
+std::vector<uint8_t> OneNodeBlob(int hub_width, int len_width, int dist_width,
+                                 uint64_t entries = 1) {
+  BitWriter out;
+  out.WriteBits(0x4c475344, 32);  // "DSGL"
+  out.WriteBits(2, 32);           // version
+  out.WriteBits(1, 64);           // nodes
+  out.WriteBits(std::bit_cast<uint64_t>(1.0), 64);  // mean edge weight
+  out.WriteBits(0, 64);                             // pruned settles
+  out.WriteBits(entries, 64);
+  out.WriteBits(static_cast<uint64_t>(hub_width), 8);
+  out.WriteBits(static_cast<uint64_t>(len_width), 8);
+  out.WriteBits(static_cast<uint64_t>(dist_width), 8);
+  out.WriteBits(0, hub_width);  // rank_of[0]
+  out.WriteBits(1, len_width);  // |L(0)|
+  for (uint64_t i = 0; i < entries; ++i) out.WriteBits(0, hub_width);
+  for (uint64_t i = 0; i < entries; ++i) out.WriteBits(0, dist_width);
+  return out.TakeBytes();
+}
+
+// `value`, little-endian, in the `bytes` bytes of a blob at `offset`.
+struct HeaderField {
+  size_t offset;
+  size_t bytes;
+  uint64_t value;
+};
+
+// Whether `blob` still decodes once `fields` are written into it.
+bool DecodesWith(std::vector<uint8_t> blob,
+                 std::initializer_list<HeaderField> fields) {
+  for (const HeaderField& f : fields) {
+    for (size_t i = 0; i < f.bytes; ++i) {
+      blob[f.offset + i] = static_cast<uint8_t>(f.value >> (8 * i));
+    }
+  }
+  return HubLabels::FromSerialized(std::move(blob))->ready();
+}
 
 void ExpectMatchesDijkstra(const RoadNetwork& g, const HubLabels& labels,
                            const std::vector<NodeId>& roots) {
@@ -124,27 +218,145 @@ TEST(HubLabelsTest, SerializeRoundTripsAndDecodesLazily) {
     }
   }
   EXPECT_TRUE(loaded->VerifyStructure(g).ok());
+  ExpectDecodesBitIdentical(*built, built->Serialize());
 }
 
+// Integer-weight families take the packed-integer distance path;
+// fractional weights take the raw IEEE path. Both decode to the built pools
+// bit for bit.
+TEST(HubLabelsTest, RoundTripIsBitIdenticalOnEveryFamily) {
+  const RoadNetwork networks[] = {
+      MakeRandomPlanar({.num_nodes = 300, .seed = 3}),
+      MakeGrid({.width = 15, .height = 11}),
+      MakeClusteredContinental({.num_clusters = 3, .nodes_per_cluster = 80,
+                                .seed = 11}),
+      MakeFractionalWeightNetwork(),
+  };
+  for (const RoadNetwork& g : networks) {
+    SCOPED_TRACE(g.num_nodes());
+    const auto built = HubLabels::Build(g, {}, &ThreadPool::Global());
+    const std::vector<uint8_t> blob = built->Serialize();
+    const bool fractional = &g == &networks[3];
+    if (fractional) {
+      EXPECT_EQ(blob[kDistWidthByte], 64);
+    } else {
+      EXPECT_LE(blob[kDistWidthByte], 53);
+    }
+    ExpectDecodesBitIdentical(*built, blob);
+    EXPECT_TRUE(HubLabels::FromSerialized(blob)->VerifyStructure(g).ok());
+  }
+}
+
+// The narrowest networks exercise the 1-bit floor of every field width.
+TEST(HubLabelsTest, TinyNetworksRoundTripWithOneBitWidths) {
+  RoadNetwork one;
+  one.AddNode({0, 0});
+  RoadNetwork two;
+  two.AddNode({0, 0});
+  two.AddNode({1, 0});
+  two.AddEdge(0, 1, 1);
+  for (const RoadNetwork* g : {&one, &two}) {
+    SCOPED_TRACE(g->num_nodes());
+    const auto built = HubLabels::Build(*g, {}, nullptr);
+    const std::vector<uint8_t> blob = built->Serialize();
+    EXPECT_EQ(blob[kHubWidthByte], 1);   // ranks 0..n-1 <= 1
+    EXPECT_EQ(blob[kDistWidthByte], 1);  // distances 0 and 1
+    ExpectDecodesBitIdentical(*built, blob);
+    EXPECT_TRUE(HubLabels::FromSerialized(blob)->VerifyStructure(*g).ok());
+  }
+  // One node: a single (self, 0) entry, so every field is 1 bit wide and
+  // the blob is exactly the layout hub_labels.h documents.
+  EXPECT_EQ(HubLabels::Build(one, {}, nullptr)->Serialize(),
+            OneNodeBlob(1, 1, 1));
+}
+
+// The decoder parses untrusted bytes. Every truncation and every flipped
+// byte must come back as an instance that is not ready or that verifies to
+// a Status — never an abort.
 TEST(HubLabelsTest, CorruptBlobDegradesToNotReady) {
-  const RoadNetwork g = testing_util::MakeSevenNodeNetwork();
+  const RoadNetwork g = MakeRandomPlanar({.num_nodes = 60, .seed = 23});
   const auto built = HubLabels::Build(g, {}, nullptr);
-  std::vector<uint8_t> blob = built->Serialize();
+  const std::vector<uint8_t> blob = built->Serialize();
 
-  // Truncation, garbage magic, and bit flips in the payload must all yield
-  // an unusable-but-safe instance, never a crash.
-  std::vector<uint8_t> truncated(blob.begin(), blob.begin() + blob.size() / 2);
-  EXPECT_FALSE(HubLabels::FromSerialized(std::move(truncated))->ready());
+  // The stream ends on its last field, so a truncation at any length, or a
+  // stray trailing byte, is rejected outright.
+  for (size_t len = 0; len < blob.size(); ++len) {
+    const auto cut = HubLabels::FromSerialized(
+        std::vector<uint8_t>(blob.begin(), blob.begin() + len));
+    ASSERT_FALSE(cut->ready()) << "truncated to " << len;
+    EXPECT_FALSE(cut->VerifyStructure(g).ok());
+  }
+  std::vector<uint8_t> longer = blob;
+  longer.push_back(0);
+  EXPECT_FALSE(HubLabels::FromSerialized(std::move(longer))->ready());
 
-  std::vector<uint8_t> bad_magic = blob;
-  bad_magic[0] ^= 0xFF;
-  EXPECT_FALSE(HubLabels::FromSerialized(std::move(bad_magic))->ready());
-
-  EXPECT_FALSE(HubLabels::FromSerialized({})->ready());
+  for (size_t i = 0; i < blob.size(); ++i) {
+    for (const uint8_t mask : {0x01, 0x80, 0xFF}) {
+      std::vector<uint8_t> flipped = blob;
+      flipped[i] ^= mask;
+      const auto labels = HubLabels::FromSerialized(std::move(flipped));
+      // Magic and version mismatches never decode.
+      if (i < kNodeCountByte) {
+        ASSERT_FALSE(labels->ready()) << "byte " << i;
+      }
+      (void)labels->VerifyStructure(g);
+    }
+  }
 
   // An unusable instance answers every query with "unreachable".
   const auto broken = HubLabels::FromSerialized({1, 2, 3});
   EXPECT_EQ(broken->Distance(0, 1), kInfiniteWeight);
+}
+
+// Header values that would size a pool from nothing, and fields wider or
+// narrower than the format allows, are rejected before any pool is
+// allocated.
+TEST(HubLabelsTest, HostileHeadersAreRejected) {
+  const RoadNetwork g = MakeRandomPlanar({.num_nodes = 60, .seed = 23});
+  const std::vector<uint8_t> blob =
+      HubLabels::Build(g, {}, nullptr)->Serialize();
+  ASSERT_TRUE(DecodesWith(blob, {}));
+  EXPECT_FALSE(DecodesWith(blob, {{kVersionByte, 4, 1}}));
+  EXPECT_FALSE(DecodesWith(blob, {{kVersionByte, 4, 3}}));
+
+  // Counts larger than the bits left. A decoder that allocated first would
+  // abort (or throw) on them.
+  constexpr uint64_t kHuge = uint64_t{1} << 40;
+  constexpr uint64_t kMax = ~uint64_t{0};
+  EXPECT_FALSE(DecodesWith(blob, {{kNodeCountByte, 8, kHuge}}));
+  EXPECT_FALSE(DecodesWith(blob, {{kNodeCountByte, 8, kMax}}));
+  EXPECT_FALSE(DecodesWith(blob, {{kEntryCountByte, 8, kHuge}}));
+  EXPECT_FALSE(DecodesWith(blob, {{kEntryCountByte, 8, kMax}}));
+  // Every node and entry of the one-node blob takes 2 bits, so adding 2^63
+  // to a count leaves its bit total unchanged modulo 2^64.
+  const std::vector<uint8_t> one = OneNodeBlob(1, 1, 1);
+  ASSERT_TRUE(DecodesWith(one, {}));
+  constexpr uint64_t kWraps = (uint64_t{1} << 63) + 1;
+  EXPECT_FALSE(DecodesWith(one, {{kNodeCountByte, 8, kWraps}}));
+  EXPECT_FALSE(DecodesWith(one, {{kEntryCountByte, 8, kWraps}}));
+
+  // Widths out of range, with payloads sized to match them: ranks and
+  // lengths take 1..32 bits, integer distances 1..53, and 64 marks raw
+  // IEEE patterns.
+  EXPECT_TRUE(DecodesWith(OneNodeBlob(32, 32, 53), {}));
+  EXPECT_TRUE(DecodesWith(OneNodeBlob(1, 1, 64), {}));
+  EXPECT_FALSE(DecodesWith(OneNodeBlob(0, 1, 1), {}));
+  EXPECT_FALSE(DecodesWith(OneNodeBlob(1, 0, 1), {}));
+  EXPECT_FALSE(DecodesWith(OneNodeBlob(1, 1, 0), {}));
+  EXPECT_FALSE(DecodesWith(OneNodeBlob(33, 1, 1), {}));
+  EXPECT_FALSE(DecodesWith(OneNodeBlob(1, 33, 1), {}));
+  EXPECT_FALSE(DecodesWith(OneNodeBlob(1, 1, 54), {}));
+  EXPECT_FALSE(DecodesWith(OneNodeBlob(1, 1, 63), {}));
+  EXPECT_FALSE(DecodesWith(blob, {{kDistWidthByte, 1, 65}}));
+  EXPECT_FALSE(DecodesWith(blob, {{kDistWidthByte, 1, 255}}));
+
+  // Label lengths that do not sum to the entry count.
+  EXPECT_FALSE(DecodesWith(OneNodeBlob(1, 1, 1, /*entries=*/0), {}));
+  EXPECT_FALSE(DecodesWith(OneNodeBlob(1, 1, 1, /*entries=*/2), {}));
+  // A set bit in the padding after the last field.
+  std::vector<uint8_t> padded = one;
+  padded.back() ^= 0x80;
+  EXPECT_FALSE(DecodesWith(padded, {}));
 }
 
 TEST(HubLabelsTest, VerifyStructureCatchesTampering) {
@@ -156,20 +368,26 @@ TEST(HubLabelsTest, VerifyStructureCatchesTampering) {
   const RoadNetwork small = testing_util::MakeSevenNodeNetwork();
   EXPECT_FALSE(built->VerifyStructure(small).ok());
 
-  // A distance perturbation that keeps the blob well-formed (finite,
-  // non-negative, still ascending hubs) must be caught by the structural
-  // pass. Corrupt node 0's self-entry distance: blob layout is a 32-byte
-  // header, 4n bytes of ranks, 8(n+1) of offsets, 4·entries of hubs, then
-  // the distance pool, where node 0's label starts at offset 0.
+  // A distance perturbation that keeps the blob well-formed (a whole,
+  // non-negative distance, still ascending hubs) must be caught by the
+  // structural pass. Set the low bit of node 0's self-entry distance,
+  // 0 -> 1: before it come the header, n ranks and n lengths, every hub,
+  // then the distance pool, where node 0's label starts.
   std::vector<uint8_t> blob = built->Serialize();
-  const size_t n = built->num_nodes();
+  const uint64_t n = built->num_nodes();
   const uint64_t entries = built->stats().entries;
+  const uint64_t hub_width = blob[kHubWidthByte];
+  const uint64_t len_width = blob[kLengthWidthByte];
+  const uint64_t dist_width = blob[kDistWidthByte];
+  ASSERT_LE(dist_width, 53u);  // packed integers, not raw IEEE patterns
   size_t p = 0;
   while (built->dists(0)[p] != 0) ++p;
-  const size_t off = 32 + 4 * n + 8 * (n + 1) + 4 * entries + 8 * p;
-  blob[off + 6] ^= 0x10;  // 0.0 -> 2^-1022: finite, positive, wrong
+  const uint64_t bit = 8 * kHeaderBytes + n * (hub_width + len_width) +
+                       entries * hub_width + p * dist_width;
+  blob[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
   const auto loaded = HubLabels::FromSerialized(std::move(blob));
   ASSERT_TRUE(loaded->ready());  // decode-time checks cannot see this
+  ASSERT_EQ(loaded->dists(0)[p], 1.0);
   EXPECT_FALSE(loaded->VerifyStructure(g).ok());
 }
 

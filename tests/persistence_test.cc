@@ -302,7 +302,11 @@ TEST(SignatureIndexPersistenceTest, HubLabelSectionRoundTrips) {
   }
 
   // A flipped byte inside the (trailing) label section is caught by its
-  // section CRC. The labels are the last section before the 16-byte footer.
+  // section CRC. The labels are the last section before the 16-byte footer:
+  // a u64 length, the blob and a u32 CRC, which must reach back past the
+  // flipped byte at size - 200.
+  const size_t label_section = 8 + index->hub_labels()->Serialize().size() + 4;
+  ASSERT_GE(label_section + 16, 200u);
   std::FILE* f = std::fopen(path.c_str(), "rb");
   ASSERT_NE(f, nullptr);
   std::fseek(f, 0, SEEK_END);
