@@ -14,9 +14,8 @@
 //                  [--max-runtime-s=300]
 //                  [--tenants=name:weight:rate_qps,name:weight:rate_qps,...]
 //                  [--tenant-slo-budget-ms=100]
-//                  [--no-coalesce] [--read-timeout-ms=5000]
-//                  [--write-timeout-ms=5000] [--idle-timeout-ms=0]
-//                  [--max-connections=0]
+//                  [--read-timeout-ms=5000] [--write-timeout-ms=5000]
+//                  [--idle-timeout-ms=0] [--max-connections=0]
 //                  [--slo-budget-ms=50] [--slo-join-budget-ms=250]
 //                  [--slo-update-budget-ms=100] [--slo-availability=0.99]
 //                  [--slo-fast-s=10] [--slo-slow-s=60] [--slo-slot-ms=1000]
@@ -31,11 +30,15 @@
 // --tenants declares fair-share principals: wire tenant id = position in
 // the list, weight = DWRR slot share under contention, rate_qps = token-
 // bucket cap (0 = unlimited). Unknown wire ids fold into the first tenant.
-// Each tenant gets its own serve.tenant.<name>.* metrics, a windowed
-// latency ring, and a "tenant_<name>" SLO evaluated at
-// --tenant-slo-budget-ms. --no-coalesce disables single-flight coalescing
-// of identical hot queries; the timeout/connection flags are the hostile-
-// client hardening knobs (serve/net.h).
+// Each tenant gets its own serve.tenant.<name>.* admission metrics and a
+// "tenant_<name>" SLO evaluated at --tenant-slo-budget-ms. Identical hot
+// queries always coalesce (single flight); the timeout/connection flags are
+// the hostile-client hardening knobs (serve/net.h).
+//
+// --degrade-fraction sets the tenant queue pressure at which queries answer
+// from categories alone, tagged "overload" (<= 0 degrades every query).
+// Clients speak the one DSRV frame layout (serve/protocol.h): a server and
+// its clients (dsig_loadgen, dsig_tool) must come from the same commit.
 //
 // Prints one "SERVE_READY port=... nodes=... objects=..." line when
 // accepting. SIGTERM / SIGINT drain gracefully: stop accepting, fail queued
@@ -195,8 +198,7 @@ int main(int argc, char** argv) {
         {"tenant_" + tenant.name, tenant_budget_ms, 0.99});
   }
 
-  // Single-flight coalescing + hostile-client hardening.
-  options.coalesce = !flags.GetBool("no-coalesce", false);
+  // Hostile-client hardening.
   options.read_timeout_ms = flags.GetDouble("read-timeout-ms", 5000);
   options.write_timeout_ms = flags.GetDouble("write-timeout-ms", 5000);
   options.idle_timeout_ms = flags.GetDouble("idle-timeout-ms", 0);

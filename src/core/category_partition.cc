@@ -81,6 +81,15 @@ Weight CategoryPartition::UpperBound(int category) const {
              : boundaries_[static_cast<size_t>(category)];
 }
 
+Weight CategoryPartition::Midpoint(int category) const {
+  const DistanceRange range = RangeOf(category);
+  if (range.ub == kInfiniteWeight) {
+    const double growth = c_ > 1 ? c_ : 2.0;
+    return range.lb * growth;
+  }
+  return (range.lb + range.ub) / 2;
+}
+
 int CategoryPartition::fixed_code_bits() const {
   int bits = 1;
   while ((1 << bits) < num_categories()) ++bits;

@@ -75,6 +75,12 @@ class CategoryPartition {
     return {LowerBound(category), UpperBound(category)};
   }
 
+  // One distance standing in for every object of `category`: the middle of
+  // its range, with the open-ended last category capped at lb * c (lb * 2
+  // when not built exponentially). Category-only query answers
+  // (`refine = false`) report and decide by it.
+  Weight Midpoint(int category) const;
+
   // Bits of a fixed-length category id: ceil(log2 M), at least 1.
   int fixed_code_bits() const;
 

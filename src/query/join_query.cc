@@ -33,7 +33,7 @@ Weight PairUpperBound(const DistanceRange& a, const DistanceRange& b) {
 
 JoinResult SignatureEpsilonJoin(const SignatureIndex& left,
                                 const SignatureIndex& right, NodeId n,
-                                Weight epsilon) {
+                                Weight epsilon, bool refine) {
   DSIG_QUERY_TRACE("join");
   const ReadSnapshot left_snapshot(left.epoch_gate());
   const ReadSnapshot right_snapshot(right.epoch_gate());
@@ -126,6 +126,12 @@ JoinResult SignatureEpsilonJoin(const SignatureIndex& left,
       const Weight upper = PairUpperBound(ra, rb);
       if (upper != kInfiniteWeight && upper <= epsilon) {
         result.pairs.push_back({a, b});
+        continue;
+      }
+      if (!refine) {
+        if (lp.Midpoint(left_cats[a]) + rp.Midpoint(right_cats[b]) <= epsilon) {
+          result.pairs.push_back({a, b});
+        }
         continue;
       }
       // Refine the two node distances to exact values; often the tightened

@@ -12,7 +12,7 @@
 namespace dsig {
 
 KnnResult SignatureKnnQuery(const SignatureIndex& index, NodeId n, size_t k,
-                            KnnResultType type) {
+                            KnnResultType type, bool refine) {
   DSIG_QUERY_TRACE("knn");
   // One epoch for the whole query: the row read, every backtracking step and
   // the final sort all see the same published index state.
@@ -56,13 +56,26 @@ KnnResult SignatureKnnQuery(const SignatureIndex& index, NodeId n, size_t k,
     kernels.extract_in_range(cats, num_objects, c, c + 1, buckets[c].data());
   }
 
+  const size_t take_from_m = k - confirmed;
+  if (!refine) {
+    // Category-only answer: no ranking anywhere, every object at its
+    // category's midpoint.
+    buckets[m].resize(take_from_m);
+    for (int c = 0; c <= m; ++c) {
+      const Weight midpoint = index.partition().Midpoint(c);
+      result.objects.insert(result.objects.end(), buckets[c].begin(),
+                            buckets[c].end());
+      result.distances.resize(result.objects.size(), midpoint);
+    }
+    return result;
+  }
+
   // The boundary bucket must be sorted when it is partially taken (to pick
   // its top) and for type 2 (whose whole result is ordered). If the deadline
   // aborts that sort, taking its head would report objects that are merely
   // *in* the boundary category, not its nearest — so on expiry the boundary
   // bucket only survives when it is taken whole (membership then needs no
   // ranking).
-  const size_t take_from_m = k - confirmed;
   const bool m_needs_ranking = take_from_m < buckets[m].size();
   if (m_needs_ranking || type == KnnResultType::kType2) {
     RoutedSortByDistance(index, n, stage, &buckets[m]);

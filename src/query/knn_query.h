@@ -8,6 +8,12 @@
 //    every contributing bucket is sorted.
 //  * type 1 — objects with their exact distances: each result's distance is
 //    retrieved by guided backtracking.
+//
+// With `refine = false` the query stops after the category phase, for every
+// type: the contributing buckets in object order, the boundary bucket cut
+// without ranking, and each object's category midpoint
+// (CategoryPartition::Midpoint) as its distance. The server answers this way
+// under overload; each true distance lies in its object's category range.
 #ifndef DSIG_QUERY_KNN_QUERY_H_
 #define DSIG_QUERY_KNN_QUERY_H_
 
@@ -28,7 +34,8 @@ struct KnnResult {
   // The k nearest object indexes. Ordered by distance for types 1 and 2;
   // unspecified order for type 3.
   std::vector<uint32_t> objects;
-  // Exact distances aligned with `objects`; filled for type 1 only.
+  // Exact distances aligned with `objects`; filled for type 1 only, or with
+  // category midpoints for every type when `refine` is false.
   std::vector<Weight> distances;
   // True when the ambient request deadline (util/deadline.h) expired before
   // the query finished. The result is a well-formed partial answer: objects
@@ -38,7 +45,7 @@ struct KnnResult {
 };
 
 KnnResult SignatureKnnQuery(const SignatureIndex& index, NodeId n, size_t k,
-                            KnnResultType type);
+                            KnnResultType type, bool refine = true);
 
 }  // namespace dsig
 

@@ -4,6 +4,11 @@
 // Signature categories confirm or prune most objects outright; only objects
 // whose category range straddles epsilon pay for guided backtracking, and
 // that backtracking stops the moment the range clears the threshold.
+//
+// With `refine = false` the query stops after the category phase: a
+// straddling object is decided by its category midpoint
+// (CategoryPartition::Midpoint) instead of by backtracking. The server
+// answers this way under overload.
 #ifndef DSIG_QUERY_RANGE_QUERY_H_
 #define DSIG_QUERY_RANGE_QUERY_H_
 
@@ -18,7 +23,8 @@ struct RangeQueryResult {
   // Object indexes with d(n, o) <= epsilon, in object order.
   std::vector<uint32_t> objects;
   // Objects that needed refinement (the category range straddled epsilon) —
-  // a quality metric for the partition.
+  // a quality metric for the partition. Without refinement, the objects
+  // decided by midpoint: the answer's uncertainty.
   size_t refined = 0;
   // True when the ambient request deadline (util/deadline.h) expired before
   // every object was classified; `objects` then holds the objects confirmed
@@ -28,7 +34,7 @@ struct RangeQueryResult {
 };
 
 RangeQueryResult SignatureRangeQuery(const SignatureIndex& index, NodeId n,
-                                     Weight epsilon);
+                                     Weight epsilon, bool refine = true);
 
 }  // namespace dsig
 

@@ -335,19 +335,5 @@ bool AdmissionController::QueuePressureAtLeast(WorkClass work_class,
          fraction * static_cast<double>(max_queue);
 }
 
-bool AdmissionController::QueuePressureAtLeast(WorkClass work_class,
-                                               double fraction) const {
-  const int c = static_cast<int>(work_class);
-  const size_t max_queue = std::max<size_t>(BudgetFor(work_class).max_queue, 1);
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& tenant : tenants_) {
-    if (static_cast<double>(tenant->waiters[c].size()) >=
-        fraction * static_cast<double>(max_queue)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace serve
 }  // namespace dsig

@@ -159,8 +159,6 @@ class AdmissionController {
   // flood does not degrade everyone else's answers.
   bool QueuePressureAtLeast(WorkClass work_class, uint32_t tenant_id,
                             double fraction) const;
-  // Cross-tenant worst case, for the aggregate health view.
-  bool QueuePressureAtLeast(WorkClass work_class, double fraction) const;
 
  private:
   // A parked connection thread; lives on the waiter's stack, linked into its

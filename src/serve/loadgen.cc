@@ -17,46 +17,13 @@
 
 #include "core/update_log.h"
 #include "obs/bench_report.h"
+#include "serve/net.h"
 #include "util/deadline.h"
 #include "util/random.h"
 #include "util/simd/simd.h"
 
 namespace dsig {
 namespace serve {
-namespace {
-
-bool SendAll(int fd, const uint8_t* data, size_t len) {
-  size_t off = 0;
-  while (off < len) {
-    const ssize_t n = ::send(fd, data + off, len - off, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-// Returns false on error/EOF; sets *timed_out when the failure was the
-// receive timeout elapsing.
-bool RecvAll(int fd, uint8_t* data, size_t len, bool* timed_out) {
-  size_t off = 0;
-  while (off < len) {
-    const ssize_t n = ::recv(fd, data + off, len - off, 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        if (timed_out != nullptr) *timed_out = true;
-      }
-      return false;
-    }
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
 
 ServeClient::~ServeClient() { Close(); }
 
@@ -92,6 +59,7 @@ Status ServeClient::Connect(uint16_t port, double timeout_ms) {
     return Status::IoError("connect: " + err);
   }
   fd_ = fd;
+  timeout_ms_ = timeout_ms;
   return Status::Ok();
 }
 
@@ -101,20 +69,20 @@ StatusOr<Response> ServeClient::Call(const Request& request, bool* timed_out) {
 
   std::vector<uint8_t> out;
   EncodeRequest(request, &out);
-  if (!SendAll(fd_, out.data(), out.size())) {
+  if (!SendAll(fd_, out.data(), out.size(), timeout_ms_).ok) {
     Close();
     return Status::IoError("Call: send failed");
   }
 
   uint8_t header[kFrameHeaderBytes];
-  bool rx_timeout = false;
-  if (!RecvAll(fd_, header, sizeof(header), &rx_timeout)) {
+  NetIoResult received = RecvAll(fd_, header, sizeof(header), timeout_ms_);
+  if (!received.ok) {
     // Timed-out or broken either way the stream is desynchronized: a late
     // response must never be taken for the next request's answer.
     Close();
-    if (rx_timeout && timed_out != nullptr) *timed_out = true;
-    return Status::IoError(rx_timeout ? "Call: receive timeout"
-                                      : "Call: connection broken");
+    if (received.timed_out && timed_out != nullptr) *timed_out = true;
+    return Status::IoError(received.timed_out ? "Call: receive timeout"
+                                              : "Call: connection broken");
   }
   uint32_t payload_len = 0;
   const Status header_status = CheckFrameHeader(header, &payload_len);
@@ -123,11 +91,10 @@ StatusOr<Response> ServeClient::Call(const Request& request, bool* timed_out) {
     return header_status;
   }
   std::vector<uint8_t> payload(payload_len);
-  rx_timeout = false;
-  if (payload_len > 0 &&
-      !RecvAll(fd_, payload.data(), payload_len, &rx_timeout)) {
+  received = RecvAll(fd_, payload.data(), payload_len, timeout_ms_);
+  if (!received.ok) {
     Close();
-    if (rx_timeout && timed_out != nullptr) *timed_out = true;
+    if (received.timed_out && timed_out != nullptr) *timed_out = true;
     return Status::IoError("Call: truncated response");
   }
   StatusOr<Response> response = DecodeResponse(payload.data(), payload_len);

@@ -42,8 +42,9 @@ class ServeClient {
   ServeClient& operator=(const ServeClient&) = delete;
   ~ServeClient();
 
-  // Connects to 127.0.0.1:port with `timeout_ms` as both the connect and
-  // the per-call receive timeout (<= 0 blocks forever).
+  // Connects to 127.0.0.1:port with `timeout_ms` as both the connect
+  // timeout and the deadline of each whole transfer in Call, moved through
+  // serve/net.h's SendAll/RecvAll (<= 0 blocks forever).
   Status Connect(uint16_t port, double timeout_ms);
   bool connected() const { return fd_ >= 0; }
   void Close();
@@ -56,6 +57,7 @@ class ServeClient {
 
  private:
   int fd_ = -1;
+  double timeout_ms_ = 0;
 };
 
 // One tenant's slice of a multi-tenant workload: its wire id and its own

@@ -158,19 +158,12 @@ StatusOr<Request> DecodeRequest(const uint8_t* payload, size_t size) {
   if (!in.ReadU8(&type) || !in.ReadU64(&r.id) || !in.ReadF64(&r.deadline_ms) ||
       !in.ReadU32(&r.node) || !in.ReadU32(&r.k) || !in.ReadU8(&r.knn_type) ||
       !in.ReadF64(&r.epsilon) || !in.ReadU8(&r.update_op) ||
-      !in.ReadU32(&r.a) || !in.ReadU32(&r.b) || !in.ReadF64(&r.weight)) {
+      !in.ReadU32(&r.a) || !in.ReadU32(&r.b) || !in.ReadF64(&r.weight) ||
+      !in.ReadU64(&r.trace_id) || !in.ReadU32(&r.tenant_id)) {
     return Status::Corruption("truncated request payload");
   }
-  // Trace-id tail, appended after the original layout. A frame from a
-  // pre-trace client ends exactly here (trace_id stays 0); a partial tail
-  // is corruption, not a compat case.
-  if (in.remaining() > 0 && !in.ReadU64(&r.trace_id)) {
-    return Status::Corruption("truncated request trace id");
-  }
-  // Tenant tail, appended after the trace tail: a pre-tenant frame ends at
-  // the trace boundary and maps to the default tenant.
-  if (in.remaining() > 0 && !in.ReadU32(&r.tenant_id)) {
-    return Status::Corruption("truncated request tenant id");
+  if (in.remaining() > 0) {
+    return Status::Corruption("trailing bytes after request payload");
   }
   if (type < static_cast<uint8_t>(RequestType::kPing) ||
       type > static_cast<uint8_t>(RequestType::kSlo)) {
@@ -210,9 +203,6 @@ void EncodeResponse(const Response& response, std::vector<uint8_t>* out) {
   PutU32(out, static_cast<uint32_t>(response.text.size()));
   out->insert(out->end(), response.text.begin(), response.text.end());
 
-  // Observability tail (trace id, windowed serve stats, SLO classes).
-  // Appended after the original layout so pre-trace clients — which stop
-  // reading at the text field — keep parsing frames from new servers.
   PutU64(out, response.trace_id);
   PutF64(out, response.window.p50_ms);
   PutF64(out, response.window.p99_ms);
@@ -291,9 +281,6 @@ StatusOr<Response> DecodeResponse(const uint8_t* payload, size_t size) {
   r.text.assign(reinterpret_cast<const char*>(in.cursor()), count);
   in.Skip(count);
 
-  // Observability tail. A frame from a pre-trace server ends exactly here
-  // and everything below keeps its defaults; a partial tail is corruption.
-  if (in.remaining() == 0) return r;
   uint32_t num_classes = 0;
   if (!in.ReadU64(&r.trace_id) || !in.ReadF64(&r.window.p50_ms) ||
       !in.ReadF64(&r.window.p99_ms) || !in.ReadU64(&r.window.count) ||
@@ -329,10 +316,11 @@ StatusOr<Response> DecodeResponse(const uint8_t* payload, size_t size) {
     }
     c.state = static_cast<obs::SloState>(state);
   }
-  // Tenant echo, appended after the SLO classes: a pre-tenant server's
-  // frame ends at the class boundary and decodes with the default tenant.
-  if (in.remaining() > 0 && !in.ReadU32(&r.tenant_id)) {
+  if (!in.ReadU32(&r.tenant_id)) {
     return Status::Corruption("truncated response tenant id");
+  }
+  if (in.remaining() > 0) {
+    return Status::Corruption("trailing bytes after response payload");
   }
   return r;
 }

@@ -6,8 +6,16 @@
 //   magic (u32, "DSRV") · payload_len (u32) · payload
 //
 // and payloads are flat little-endian structs (PutU32/PutF64 style, matching
-// io/binary_io conventions). Requests carry a relative deadline and a
-// request id; responses echo the id and carry a typed status:
+// io/binary_io conventions). Each message type has one fixed layout: every
+// field below is always on the wire, in declaration order, and a decoder
+// rejects a payload that ends early or runs on past the last field as
+// kCorruption. There is no version byte: the magic plus the exact length
+// already reject any other layout, and every peer (the server, the
+// dsig_loadgen / dsig_tool clients, servebench) builds from this tree, so
+// a server and its clients must come from the same commit.
+//
+// Requests carry a relative deadline and a request id; responses echo the
+// id and carry a typed status:
 //
 //   kOk                the full answer
 //   kRetryAfter        load-shed at admission; retry_after_ms is a hint
@@ -17,7 +25,7 @@
 //   kError             the request was malformed or inapplicable
 //
 // plus a degradation tag: kNone for the exact path, kOverload when the
-// planner downgraded to the category-only evaluator (serve/degrade.h),
+// planner ran the query category-only (`refine = false` in query/), and
 // kDecodeFault when the index recomputed rows via bounded Dijkstra during
 // this request (OpCounters::decode_fallbacks delta on the serving thread).
 #ifndef DSIG_SERVE_PROTOCOL_H_
@@ -84,17 +92,13 @@ struct Request {
   double weight = 0;
 
   // End-to-end trace id, minted by the client (loadgen) and echoed in the
-  // response; 0 means "none" and the server mints one itself. Appended at
-  // the end of the wire layout so pre-trace clients interoperate: a payload
-  // that ends where the old layout ended decodes with trace_id = 0.
+  // response; 0 means "none" and the server mints one itself.
   uint64_t trace_id = 0;
 
-  // Tenant id for fair-share admission (serve/admission.h). Appended after
-  // the trace tail, so there are two valid legacy cut points: a pre-trace
-  // frame decodes with trace_id = 0 and tenant_id = kDefaultTenant, and a
-  // pre-tenant frame decodes with just tenant_id = kDefaultTenant. Ids the
-  // server has no configuration for fold into the default tenant — a
-  // hostile client cannot mint per-tenant state by inventing ids.
+  // Tenant id for fair-share admission (serve/admission.h); 0 is
+  // kDefaultTenant. Ids the server has no configuration for fold into the
+  // default tenant — a hostile client cannot mint per-tenant state by
+  // inventing ids.
   uint32_t tenant_id = 0;
 };
 
@@ -130,9 +134,7 @@ struct Response {
   std::string text;
 
   // Echo of the request's trace id (server-minted when the request carried
-  // none). Appended at the end of the wire layout with the windowed stats
-  // and SLO classes below; an old peer's frame that ends where the old
-  // layout ended decodes with all of these at their defaults.
+  // none).
   uint64_t trace_id = 0;
 
   // Windowed serve-path latency summary (kStats / kSlo / kPing): what the
@@ -152,8 +154,7 @@ struct Response {
 
   // The tenant id the server resolved this request to (after folding
   // unknown ids into the default tenant), echoed so clients can see which
-  // fair-share bucket billed them. Appended after the SLO classes; frames
-  // from pre-tenant servers end before it and decode with the default.
+  // fair-share bucket billed them.
   uint32_t tenant_id = 0;
 };
 
@@ -161,9 +162,10 @@ struct Response {
 void EncodeRequest(const Request& request, std::vector<uint8_t>* out);
 void EncodeResponse(const Response& response, std::vector<uint8_t>* out);
 
-// Decode one frame payload (the bytes after the 8-byte header). Corruption
-// and range violations come back as kCorruption / kInvalidArgument — a
-// serving process must never abort on untrusted bytes.
+// Decode one frame payload (the bytes after the 8-byte header). A short or
+// over-long payload and other corruption come back as kCorruption, range
+// violations as kInvalidArgument — a serving process must never abort on
+// untrusted bytes.
 StatusOr<Request> DecodeRequest(const uint8_t* payload, size_t size);
 StatusOr<Response> DecodeResponse(const uint8_t* payload, size_t size);
 

@@ -17,9 +17,9 @@
 #include "obs/op_counters.h"
 #include "obs/trace.h"
 #include "obs/window.h"
+#include "query/join_query.h"
 #include "query/knn_query.h"
 #include "query/range_query.h"
-#include "serve/degrade.h"
 #include "serve/net.h"
 #include "util/deadline.h"
 #include "util/hexid.h"
@@ -114,6 +114,10 @@ std::vector<obs::SloObjective> DefaultObjectives() {
 // middle export window).
 constexpr uint64_t kServeWindowNs = 60ull * 1000 * 1000 * 1000;
 
+// How long Stop() waits for in-flight requests before closing their
+// connections anyway.
+constexpr double kDrainTimeoutMs = 5000;
+
 }  // namespace
 
 DsigServer::DsigServer(const Deployment& deployment,
@@ -128,9 +132,9 @@ DsigServer::DsigServer(const Deployment& deployment,
           "serve.latency_ms")),
       window_queued_ms_(obs::MetricsRegistry::Global().GetWindowedHistogram(
           "serve.queued_ms")) {
-  // Per-tenant health: one SLO class and one windowed latency ring per
-  // configured tenant, indexed by tenant id. Names come from the bounded
-  // admission config, so the cardinality here is fixed at startup.
+  // Per-tenant health: one SLO class per configured tenant, indexed by
+  // tenant id. Names come from the bounded admission config, so the
+  // cardinality here is fixed at startup.
   std::vector<obs::SloObjective> tenant_objectives = options.tenant_slo;
   if (tenant_objectives.empty()) {
     for (uint32_t t = 0; t < admission_.num_tenants(); ++t) {
@@ -140,11 +144,6 @@ DsigServer::DsigServer(const Deployment& deployment,
   }
   tenant_slo_ = std::make_unique<obs::SloEngine>(std::move(tenant_objectives),
                                                  options.slo_windows);
-  for (uint32_t t = 0; t < admission_.num_tenants(); ++t) {
-    tenant_window_latency_.push_back(
-        obs::MetricsRegistry::Global().GetWindowedHistogram(
-            "serve.tenant." + admission_.TenantName(t) + ".latency_ms"));
-  }
 }
 
 StatusOr<std::unique_ptr<DsigServer>> DsigServer::Start(
@@ -346,7 +345,7 @@ Response DsigServer::Handle(const Request& request) {
     response.num_objects = deployment_.index->num_objects();
     const CategoryPartition& partition = deployment_.index->partition();
     response.suggested_epsilon =
-        CategoryMidpoint(partition, partition.num_categories() / 2);
+        partition.Midpoint(partition.num_categories() / 2);
     FillObservability(&response);
     Metrics().ok->Add(1);
     return response;
@@ -404,7 +403,7 @@ Response DsigServer::Handle(const Request& request) {
   // Single-flight: checked BEFORE admission, so followers of a hot query
   // consume no execution slot and no queue space at all.
   std::unique_ptr<LeaderGuard> leader;
-  if (options_.coalesce && Coalescible(request)) {
+  if (Coalescible(request)) {
     const std::string key = CoalesceKey(request);
     SingleFlight::JoinResult join = flights_.Join(key, deadline);
     if (join.leader) {
@@ -445,19 +444,17 @@ Response DsigServer::Handle(const Request& request) {
         response.status = ResponseStatus::kShuttingDown;
         break;
       case AdmitOutcome::kAdmitted: {
-        // Plan: decide exact vs degraded BEFORE executing, from THIS
+        // Plan: decide exact vs category-only BEFORE executing, from THIS
         // tenant's queue pressure at admission time — one tenant's flood
         // must not degrade another tenant's answers. Updates always run
         // the exact path — degrading a mutation makes no sense.
-        const bool degraded =
-            work_class == WorkClass::kQuery &&
-            admission_.QueuePressureAtLeast(WorkClass::kQuery, tenant,
-                                            options_.degrade_queue_fraction);
         const uint64_t trace_id = response.trace_id;
         if (request.type == RequestType::kUpdate) {
           response = ExecuteUpdate(request);
         } else {
-          response = ExecuteQuery(request, deadline, degraded);
+          const bool refine = !admission_.QueuePressureAtLeast(
+              WorkClass::kQuery, tenant, options_.degrade_queue_fraction);
+          response = ExecuteQuery(request, deadline, refine);
         }
         response.trace_id = trace_id;  // Execute* builds a fresh Response
         response.tenant_id = tenant;
@@ -503,7 +500,6 @@ Response DsigServer::Handle(const Request& request) {
     Metrics().latency_ms->Record(total_ms);
     window_latency_ms_->Record(total_ms);
     window_queued_ms_->Record(admit.queued_ms);
-    tenant_window_latency_[tenant]->Record(total_ms);
   }
 
   // SLO accounting for every terminal outcome except shutdown (draining is
@@ -651,7 +647,7 @@ void DsigServer::EmitSlowTrace(const Request& request,
 }
 
 Response DsigServer::ExecuteQuery(const Request& request,
-                                  const Deadline& deadline, bool degraded) {
+                                  const Deadline& deadline, bool refine) {
   Response response;
   response.id = request.id;
   const SignatureIndex& index = *deployment_.index;
@@ -678,69 +674,50 @@ Response DsigServer::ExecuteQuery(const Request& request,
   // delta is exactly this request's fallbacks.
   const uint64_t fallbacks_before = GlobalOpCounters().decode_fallbacks;
 
+  bool deadline_exceeded = false;
   switch (request.type) {
     case RequestType::kKnn: {
       const size_t k =
           std::min<size_t>(request.k, deployment_.index->num_objects());
-      if (degraded) {
-        DegradedKnnResult result = DegradedKnnQuery(index, request.node, k);
-        response.objects = std::move(result.objects);
-        response.distances = std::move(result.approx_distances);
-        response.degradation = Degradation::kOverload;
-      } else {
-        const KnnResultType type =
-            request.knn_type == 3 ? KnnResultType::kType3
-            : request.knn_type == 2 ? KnnResultType::kType2
-                                    : KnnResultType::kType1;
-        KnnResult result = SignatureKnnQuery(index, request.node, k, type);
-        response.objects = std::move(result.objects);
-        response.distances.assign(result.distances.begin(),
-                                  result.distances.end());
-        if (result.deadline_exceeded) {
-          response.status = ResponseStatus::kDeadlineExceeded;
-        }
-      }
+      const KnnResultType type =
+          request.knn_type == 3 ? KnnResultType::kType3
+          : request.knn_type == 2 ? KnnResultType::kType2
+                                  : KnnResultType::kType1;
+      KnnResult result =
+          SignatureKnnQuery(index, request.node, k, type, refine);
+      response.objects = std::move(result.objects);
+      response.distances = std::move(result.distances);
+      deadline_exceeded = result.deadline_exceeded;
       break;
     }
     case RequestType::kRange: {
       RangeQueryResult result =
-          degraded ? DegradedRangeQuery(index, request.node, request.epsilon)
-                   : SignatureRangeQuery(index, request.node, request.epsilon);
+          SignatureRangeQuery(index, request.node, request.epsilon, refine);
       response.objects = std::move(result.objects);
-      if (degraded) {
-        response.degradation = Degradation::kOverload;
-      } else if (result.deadline_exceeded) {
-        response.status = ResponseStatus::kDeadlineExceeded;
-      }
+      deadline_exceeded = result.deadline_exceeded;
       break;
     }
     case RequestType::kJoin: {
       // Self-join: the deployment serves one dataset, joined with itself.
-      JoinResult result =
-          degraded
-              ? DegradedEpsilonJoin(index, index, request.node,
-                                    request.epsilon)
-              : SignatureEpsilonJoin(index, index, request.node,
-                                     request.epsilon);
+      const JoinResult result = SignatureEpsilonJoin(
+          index, index, request.node, request.epsilon, refine);
       response.pair_left.reserve(result.pairs.size());
       response.pair_right.reserve(result.pairs.size());
       for (const JoinPair& pair : result.pairs) {
         response.pair_left.push_back(pair.left);
         response.pair_right.push_back(pair.right);
       }
-      if (degraded) {
-        response.degradation = Degradation::kOverload;
-      } else if (result.deadline_exceeded) {
-        response.status = ResponseStatus::kDeadlineExceeded;
-      }
+      deadline_exceeded = result.deadline_exceeded;
       break;
     }
     default:
       return ErrorResponse(request.id, "unsupported query type");
   }
 
-  if (response.degradation == Degradation::kNone &&
-      GlobalOpCounters().decode_fallbacks > fallbacks_before) {
+  if (deadline_exceeded) response.status = ResponseStatus::kDeadlineExceeded;
+  if (!refine) {
+    response.degradation = Degradation::kOverload;
+  } else if (GlobalOpCounters().decode_fallbacks > fallbacks_before) {
     response.degradation = Degradation::kDecodeFault;
   }
   return response;
@@ -802,7 +779,7 @@ void DsigServer::Stop() {
   //    request gets its response bytes out.
   const uint64_t drain_deadline_ns =
       Deadline::NowNanos() +
-      static_cast<uint64_t>(std::max(options_.drain_timeout_ms, 0.0) * 1e6);
+      static_cast<uint64_t>(kDrainTimeoutMs * 1e6);
   while (admission_.inflight(WorkClass::kQuery) +
              admission_.inflight(WorkClass::kUpdate) >
          0) {

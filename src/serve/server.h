@@ -17,9 +17,10 @@
 //                (serve/admission.h). Shed replies RETRY_AFTER; a deadline
 //                that passes while queued replies DEADLINE_EXCEEDED without
 //                ever holding an execution slot.
-//   * plan       under queue pressure (degrade_queue_fraction) queries are
-//                downgraded to the category-only evaluators (serve/degrade.h)
-//                and tagged Degradation::kOverload. Updates never degrade.
+//   * plan       under queue pressure (degrade_queue_fraction) queries run
+//                the same query code category-only (`refine = false`: no
+//                backtracking, category midpoints as distances) and are
+//                tagged Degradation::kOverload. Updates never degrade.
 //   * execute    queries run with the request's Deadline installed
 //                (util/deadline.h); the query layer returns typed partial
 //                results on expiry. Updates serialize through the single
@@ -34,9 +35,8 @@
 // snapshots and may overlap updates freely (PR 5's isolation contract).
 //
 // Shutdown: Stop() stops accepting, fails queued requests with
-// SHUTTING_DOWN, lets in-flight requests finish (bounded by
-// drain_timeout_ms), then closes connections. The dsig_serve binary follows
-// with a final checkpoint.
+// SHUTTING_DOWN, lets in-flight requests finish (for at most 5 s), then
+// closes connections. The dsig_serve binary follows with a final checkpoint.
 #ifndef DSIG_SERVE_SERVER_H_
 #define DSIG_SERVE_SERVER_H_
 
@@ -69,18 +69,14 @@ struct ServerOptions {
   uint16_t port = 0;  // 0 = kernel-assigned; see DsigServer::port()
   AdmissionController::Options admission;
 
-  // Queries degrade to category-only answers when the query queue is at or
-  // beyond this fraction of its bound. <= 0 degrades every query (a test
-  // and brown-out hook); > 1 never degrades.
+  // Queries answer category-only (`refine = false`) when their tenant's
+  // query queue is at or beyond this fraction of its bound. <= 0 degrades
+  // every query (a test and brown-out hook); > 1 never degrades.
   double degrade_queue_fraction = 0.5;
 
   // Deadline applied to requests that carry none; <= 0 leaves them
   // unbounded.
   double default_deadline_ms = 0;
-
-  // How long Stop() waits for in-flight requests before closing their
-  // connections anyway.
-  double drain_timeout_ms = 5000;
 
   // Per-request-class SLOs (obs/slo.h). Empty installs defaults for the
   // four request classes (knn, range, join, update).
@@ -107,10 +103,9 @@ struct ServerOptions {
   // availability) for every configured tenant.
   std::vector<obs::SloObjective> tenant_slo;
 
-  // Single-flight coalescing (serve/coalesce.h) for identical hot queries.
-  bool coalesce = true;
-  // Test hook: the leader holds its flight open this long before admission,
-  // so a test can pile followers onto it deterministically.
+  // Test hook: a single-flight leader (serve/coalesce.h) holds its flight
+  // open this long before admission, so a test can pile followers onto it
+  // deterministically.
   double coalesce_hold_for_test_ms = 0;
 
   // Hostile-client hardening (serve/net.h). Once a frame has started
@@ -162,8 +157,10 @@ class DsigServer {
 
   // Full request lifecycle minus parsing; never throws, never aborts.
   Response Handle(const Request& request);
+  // `refine = false` answers from categories alone (the overload mode of
+  // the query code) and tags the response Degradation::kOverload.
   Response ExecuteQuery(const Request& request, const Deadline& deadline,
-                        bool degraded);
+                        bool refine);
   Response ExecuteUpdate(const Request& request);
 
   // Windowed serve-path stats + per-class SLO health into the response tail.
@@ -186,8 +183,6 @@ class DsigServer {
   std::unique_ptr<obs::SloEngine> tenant_slo_;  // class index == tenant id
   obs::WindowedHistogram* window_latency_ms_;  // serve.latency_ms ring
   obs::WindowedHistogram* window_queued_ms_;   // serve.queued_ms ring
-  // serve.tenant.<name>.latency_ms rings, indexed by tenant id.
-  std::vector<obs::WindowedHistogram*> tenant_window_latency_;
   std::mutex slow_trace_mu_;  // token bucket + sink writes
   double slow_trace_tokens_ = 0;
   uint64_t slow_trace_refill_ns_ = 0;

@@ -7,6 +7,7 @@
 #include "core/signature_builder.h"
 #include "graph/graph_generator.h"
 #include "tests/test_util.h"
+#include "util/simd/simd.h"
 #include "workload/dataset_generator.h"
 
 namespace dsig {
@@ -74,6 +75,88 @@ TEST_P(JoinPropertyTest, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JoinPropertyTest,
                          ::testing::Values(2, 12, 32));
+
+// What `refine = false` must return, in (left, right) order: co-located
+// pairs, pairs whose summed category upper bounds are <= eps, and pairs the
+// triangle bounds leave undecided whose summed midpoints are <= eps. Pairs
+// whose lower bound exceeds eps count as pruned; nothing is evaluated.
+JoinResult CategoryOnlyJoin(const SignatureIndex& left,
+                            const SignatureIndex& right, NodeId n,
+                            Weight eps) {
+  const SignatureRow left_row = testing_util::StagedRow(left, n);
+  const SignatureRow right_row = testing_util::StagedRow(right, n);
+  const CategoryPartition& lp = left.partition();
+  const CategoryPartition& rp = right.partition();
+  JoinResult expected;
+  for (uint32_t a = 0; a < left_row.size(); ++a) {
+    const DistanceRange ra = lp.RangeOf(left_row[a].category);
+    for (uint32_t b = 0; b < right_row.size(); ++b) {
+      if (left.object_node(a) == right.object_node(b)) {
+        expected.pairs.push_back({a, b});
+        continue;
+      }
+      const DistanceRange rb = rp.RangeOf(right_row[b].category);
+      Weight lower = 0;
+      if (ra.ub != kInfiniteWeight) lower = std::max(lower, rb.lb - ra.ub);
+      if (rb.ub != kInfiniteWeight) lower = std::max(lower, ra.lb - rb.ub);
+      if (lower > eps) {
+        ++expected.pruned_by_categories;
+      } else if (ra.ub != kInfiniteWeight && rb.ub != kInfiniteWeight &&
+                 ra.ub + rb.ub <= eps) {
+        expected.pairs.push_back({a, b});
+      } else if (lp.Midpoint(left_row[a].category) +
+                     rp.Midpoint(right_row[b].category) <=
+                 eps) {
+        expected.pairs.push_back({a, b});
+      }
+    }
+  }
+  return expected;
+}
+
+std::vector<std::pair<uint32_t, uint32_t>> InOrder(
+    const std::vector<JoinPair>& pairs) {
+  std::vector<std::pair<uint32_t, uint32_t>> out;
+  for (const JoinPair& p : pairs) out.push_back({p.left, p.right});
+  return out;
+}
+
+TEST(JoinQueryTest, CategoryOnlyMatchesTheCategoryRule) {
+  for (const testing_util::CategoryOnlyCase& c :
+       testing_util::CategoryOnlyCases()) {
+    // A self-join, and a join of two datasets whose partitions differ.
+    const auto left = BuildSignatureIndex(c.graph, c.objects, {.t = 5, .c = 2});
+    const auto right = BuildSignatureIndex(
+        c.graph, UniformDataset(c.graph, 0.05, 8), {.t = 3, .c = 3});
+    std::vector<Weight> epsilons = {0.0, 1e9};
+    for (int cat = 0; cat < left->partition().num_categories(); ++cat) {
+      epsilons.push_back(left->partition().Midpoint(cat));
+    }
+    for (const simd::SimdLevel level : simd::AvailableLevels()) {
+      const simd::SimdOverride pin(level);
+      ASSERT_TRUE(pin.applied());
+      for (const NodeId n : testing_util::SampleNodes(c.graph, 4, 7)) {
+        for (const Weight eps : epsilons) {
+          for (const SignatureIndex* other : {left.get(), right.get()}) {
+            const JoinResult expected =
+                CategoryOnlyJoin(*left, *other, n, eps);
+            const JoinResult got =
+                SignatureEpsilonJoin(*left, *other, n, eps, /*refine=*/false);
+            const bool self = other == left.get();
+            EXPECT_EQ(InOrder(got.pairs), InOrder(expected.pairs))
+                << c.name << " " << simd::SimdLevelName(level) << " n=" << n
+                << " eps=" << eps << " self=" << self;
+            EXPECT_EQ(got.pruned_by_categories, expected.pruned_by_categories)
+                << c.name << " " << simd::SimdLevelName(level) << " n=" << n
+                << " eps=" << eps << " self=" << self;
+            EXPECT_EQ(got.exact_evaluations, 0u);
+            EXPECT_FALSE(got.deadline_exceeded);
+          }
+        }
+      }
+    }
+  }
+}
 
 TEST(JoinQueryTest, PruningActuallyPrunes) {
   const RoadNetwork g = MakeRandomPlanar({.num_nodes = 500, .seed = 7});

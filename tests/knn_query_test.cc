@@ -7,6 +7,7 @@
 #include "core/signature_builder.h"
 #include "graph/graph_generator.h"
 #include "tests/test_util.h"
+#include "util/simd/simd.h"
 #include "workload/dataset_generator.h"
 
 namespace dsig {
@@ -100,6 +101,56 @@ TEST_P(KnnPropertyTest, AllTypesMatchBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KnnPropertyTest,
                          ::testing::Values(1, 11, 31));
+
+// What `refine = false` must return: the first k objects in (category,
+// object id) order, each at its category midpoint, for every result type.
+KnnResult CategoryOnlyKnn(const SignatureIndex& index, NodeId n, size_t k) {
+  const SignatureRow row = testing_util::StagedRow(index, n);
+  std::vector<std::pair<int, uint32_t>> order;
+  for (uint32_t o = 0; o < row.size(); ++o) {
+    order.push_back({row[o].category, o});
+  }
+  std::sort(order.begin(), order.end());
+  order.resize(std::min(k, order.size()));
+  KnnResult expected;
+  for (const auto& [category, o] : order) {
+    expected.objects.push_back(o);
+    expected.distances.push_back(index.partition().Midpoint(category));
+  }
+  return expected;
+}
+
+TEST(KnnQueryTest, CategoryOnlyMatchesTheCategoryRule) {
+  for (const testing_util::CategoryOnlyCase& c :
+       testing_util::CategoryOnlyCases()) {
+    const auto index =
+        BuildSignatureIndex(c.graph, c.objects, {.t = 5, .c = 2});
+    const size_t num_objects = index->num_objects();
+    for (const simd::SimdLevel level : simd::AvailableLevels()) {
+      const simd::SimdOverride pin(level);
+      ASSERT_TRUE(pin.applied());
+      for (const NodeId n : testing_util::SampleNodes(c.graph, 10, 5)) {
+        for (const size_t k : {size_t{1}, size_t{3}, size_t{8}, num_objects,
+                               num_objects + 5}) {
+          const KnnResult expected = CategoryOnlyKnn(*index, n, k);
+          for (const KnnResultType type :
+               {KnnResultType::kType1, KnnResultType::kType2,
+                KnnResultType::kType3}) {
+            const KnnResult got =
+                SignatureKnnQuery(*index, n, k, type, /*refine=*/false);
+            EXPECT_EQ(got.objects, expected.objects)
+                << c.name << " " << simd::SimdLevelName(level) << " n=" << n
+                << " k=" << k << " type=" << static_cast<int>(type);
+            EXPECT_EQ(got.distances, expected.distances)
+                << c.name << " " << simd::SimdLevelName(level) << " n=" << n
+                << " k=" << k << " type=" << static_cast<int>(type);
+            EXPECT_FALSE(got.deadline_exceeded);
+          }
+        }
+      }
+    }
+  }
+}
 
 TEST(KnnQueryTest, LargeKSortsEverything) {
   const RoadNetwork g = MakeRandomPlanar({.num_nodes = 300, .seed = 6});

@@ -5,6 +5,7 @@
 #include "core/signature_builder.h"
 #include "graph/graph_generator.h"
 #include "tests/test_util.h"
+#include "util/simd/simd.h"
 #include "workload/dataset_generator.h"
 
 namespace dsig {
@@ -60,6 +61,61 @@ TEST_P(RangeQueryPropertyTest, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RangeQueryPropertyTest,
                          ::testing::Values(1, 9, 27));
+
+// What `refine = false` must return: objects whose category upper bound is
+// <= eps, plus straddlers (lb <= eps < ub) whose category midpoint is
+// <= eps; `refined` counts the straddlers.
+RangeQueryResult CategoryOnlyRange(const SignatureIndex& index, NodeId n,
+                                   Weight eps) {
+  const SignatureRow row = testing_util::StagedRow(index, n);
+  const CategoryPartition& partition = index.partition();
+  RangeQueryResult expected;
+  for (uint32_t o = 0; o < row.size(); ++o) {
+    const DistanceRange r = partition.RangeOf(row[o].category);
+    if (r.ub != kInfiniteWeight && r.ub <= eps) {
+      expected.objects.push_back(o);
+    } else if (r.lb <= eps) {
+      ++expected.refined;
+      if (partition.Midpoint(row[o].category) <= eps) {
+        expected.objects.push_back(o);
+      }
+    }
+  }
+  return expected;
+}
+
+TEST(RangeQueryTest, CategoryOnlyMatchesTheCategoryRule) {
+  for (const testing_util::CategoryOnlyCase& c :
+       testing_util::CategoryOnlyCases()) {
+    const auto index =
+        BuildSignatureIndex(c.graph, c.objects, {.t = 5, .c = 2});
+    const CategoryPartition& partition = index->partition();
+    // Every category midpoint and boundary, plus the extremes.
+    std::vector<Weight> epsilons = {0.0, 1e9};
+    for (int cat = 0; cat < partition.num_categories(); ++cat) {
+      epsilons.push_back(partition.Midpoint(cat));
+      epsilons.push_back(partition.LowerBound(cat));
+    }
+    for (const simd::SimdLevel level : simd::AvailableLevels()) {
+      const simd::SimdOverride pin(level);
+      ASSERT_TRUE(pin.applied());
+      for (const NodeId n : testing_util::SampleNodes(c.graph, 10, 6)) {
+        for (const Weight eps : epsilons) {
+          const RangeQueryResult expected = CategoryOnlyRange(*index, n, eps);
+          const RangeQueryResult got =
+              SignatureRangeQuery(*index, n, eps, /*refine=*/false);
+          EXPECT_EQ(got.objects, expected.objects)
+              << c.name << " " << simd::SimdLevelName(level) << " n=" << n
+              << " eps=" << eps;
+          EXPECT_EQ(got.refined, expected.refined)
+              << c.name << " " << simd::SimdLevelName(level) << " n=" << n
+              << " eps=" << eps;
+          EXPECT_FALSE(got.deadline_exceeded);
+        }
+      }
+    }
+  }
+}
 
 TEST(RangeQueryTest, BoundaryEpsilonIncludesExactMatches) {
   const RoadNetwork g = testing_util::MakeSevenNodeNetwork();

@@ -393,15 +393,15 @@ TEST_F(TenantServerFixture, IdenticalConcurrentQueriesExecuteOnce) {
       << "followers did not get their own ids re-stamped";
 }
 
-TEST_F(TenantServerFixture, LegacyFramesLandOnTheDefaultTenant) {
+TEST_F(TenantServerFixture, TenantIdsResolveToTheirTenantOrTheDefault) {
   ServerOptions options;
   options.admission.tenants = {{"default", 1.0, 0, 0}, {"other", 1.0, 0, 0}};
   StartServer(options);
   ServeClient client;
   ASSERT_TRUE(client.Connect(server_->port(), 5000).ok());
 
-  // A pre-tenant client never sets tenant_id; the wire default (0) must map
-  // to the default tenant and be echoed back.
+  // A request that leaves tenant_id at 0 lands on the default tenant, and
+  // the response echoes it.
   Request knn;
   knn.type = RequestType::kKnn;
   knn.id = 7;

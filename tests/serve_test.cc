@@ -14,6 +14,7 @@
 #include "core/signature_builder.h"
 #include "graph/graph_generator.h"
 #include "io/durable_index.h"
+#include "query/join_query.h"
 #include "query/knn_query.h"
 #include "query/range_query.h"
 #include "serve/loadgen.h"
@@ -116,12 +117,9 @@ TEST(ProtocolTest, HostileBytesFailCleanly) {
   frame[7] = 0x7f;
   EXPECT_FALSE(CheckFrameHeader(frame.data(), &payload_len).ok());
 
-  // Every truncation of a valid payload must decode to an error, not a
-  // crash or a silently short request — with TWO exceptions: the tail is
-  // append-only, so cutting exactly the 4-byte tenant tail reproduces a
-  // valid pre-tenant frame (tenant_id = 0), and cutting the 12-byte
-  // trace+tenant tail reproduces a valid pre-trace frame (trace_id = 0
-  // too). Any partial tail is still corruption.
+  // One fixed layout: every truncation of a valid payload, and the payload
+  // with one byte too many, must decode to an error, not a crash or a
+  // silently short request.
   frame.clear();
   Request full;
   full.type = RequestType::kUpdate;
@@ -132,27 +130,21 @@ TEST(ProtocolTest, HostileBytesFailCleanly) {
   full.tenant_id = 7;
   EncodeRequest(full, &frame);
   ASSERT_TRUE(CheckFrameHeader(frame.data(), &payload_len).ok());
-  const uint32_t legacy_len = payload_len - 12;     // pre-trace cut
-  const uint32_t pre_tenant_len = payload_len - 4;  // pre-tenant cut
-  for (uint32_t cut = 0; cut < payload_len; ++cut) {
-    const auto decoded = DecodeRequest(frame.data() + kFrameHeaderBytes, cut);
-    if (cut == legacy_len) {
-      ASSERT_TRUE(decoded.ok()) << "legacy-length frame rejected";
-      EXPECT_EQ(decoded->trace_id, 0u);
-      EXPECT_EQ(decoded->tenant_id, 0u);
-      EXPECT_EQ(decoded->a, full.a);
-      continue;
-    }
-    if (cut == pre_tenant_len) {
-      ASSERT_TRUE(decoded.ok()) << "pre-tenant-length frame rejected";
-      EXPECT_EQ(decoded->trace_id, full.trace_id);
-      EXPECT_EQ(decoded->tenant_id, 0u);
-      continue;
-    }
-    EXPECT_FALSE(decoded.ok()) << "truncation at " << cut << " decoded";
-  }
-  // Garbage request type.
   std::vector<uint8_t> payload(frame.begin() + kFrameHeaderBytes, frame.end());
+  ASSERT_TRUE(DecodeRequest(payload.data(), payload.size()).ok());
+  for (uint32_t cut = 0; cut < payload_len; ++cut) {
+    // An exact-size copy, so a sanitizer sees any read past the cut.
+    const std::vector<uint8_t> head(payload.begin(), payload.begin() + cut);
+    EXPECT_EQ(DecodeRequest(head.data(), cut).status().code(),
+              StatusCode::kCorruption)
+        << "truncation at " << cut << " decoded";
+  }
+  payload.push_back(0);
+  EXPECT_EQ(DecodeRequest(payload.data(), payload.size()).status().code(),
+            StatusCode::kCorruption)
+      << "a trailing byte decoded";
+  payload.pop_back();
+  // Garbage request type.
   payload[0] = 0xee;
   EXPECT_FALSE(DecodeRequest(payload.data(), payload.size()).ok());
 }
@@ -218,12 +210,8 @@ TEST(ProtocolTest, ResponseObservabilityTailRoundTrip) {
 }
 
 TEST(ProtocolTest, ResponseTailTruncationFuzz) {
-  // Backward compatibility contract: the tail is append-only, so chopping
-  // the 4-byte tenant tail reproduces a valid pre-tenant frame (tenant_id
-  // 0), and chopping the ENTIRE observability tail reproduces a valid
-  // pre-observability frame (zeroed window stats, no slo classes, trace_id
-  // 0). Any partial tail is corruption, and any truncation inside the core
-  // payload stays an error.
+  // One fixed layout: every truncation of a response that carries every
+  // field, and the response with one byte too many, is corruption.
   Response response;
   response.id = 31;
   response.status = ResponseStatus::kOk;
@@ -242,42 +230,30 @@ TEST(ProtocolTest, ResponseTailTruncationFuzz) {
   EncodeResponse(response, &frame);
   uint32_t payload_len = 0;
   ASSERT_TRUE(CheckFrameHeader(frame.data(), &payload_len).ok());
-  // Tail layout: 52 fixed bytes + per class (109 fixed + name bytes),
-  // then the 4-byte tenant id.
-  uint32_t tail_len = 52;
-  for (const auto& cls : response.slo) {
-    tail_len += 109 + static_cast<uint32_t>(cls.name.size());
-  }
-  tail_len += 4;
-  ASSERT_GT(payload_len, tail_len);
-  const uint32_t legacy_len = payload_len - tail_len;
-  const uint32_t pre_tenant_len = payload_len - 4;
-
+  std::vector<uint8_t> payload(frame.begin() + kFrameHeaderBytes, frame.end());
+  const auto decoded = DecodeResponse(payload.data(), payload.size());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->trace_id, response.trace_id);
+  EXPECT_EQ(decoded->slo.size(), 2u);
+  EXPECT_EQ(decoded->tenant_id, response.tenant_id);
   for (uint32_t cut = 0; cut < payload_len; ++cut) {
-    const auto decoded = DecodeResponse(frame.data() + kFrameHeaderBytes, cut);
-    if (cut == legacy_len) {
-      ASSERT_TRUE(decoded.ok()) << "legacy-length response rejected";
-      EXPECT_EQ(decoded->id, response.id);
-      EXPECT_EQ(decoded->objects, response.objects);
-      EXPECT_EQ(decoded->trace_id, 0u);
-      EXPECT_EQ(decoded->window.count, 0u);
-      EXPECT_TRUE(decoded->slo.empty());
-      EXPECT_EQ(decoded->tenant_id, 0u);
-      continue;
-    }
-    if (cut == pre_tenant_len) {
-      ASSERT_TRUE(decoded.ok()) << "pre-tenant-length response rejected";
-      EXPECT_EQ(decoded->trace_id, response.trace_id);
-      ASSERT_EQ(decoded->slo.size(), 2u);
-      EXPECT_EQ(decoded->tenant_id, 0u);
-      continue;
-    }
-    EXPECT_FALSE(decoded.ok()) << "truncation at " << cut << " decoded";
+    const std::vector<uint8_t> head(payload.begin(), payload.begin() + cut);
+    EXPECT_EQ(DecodeResponse(head.data(), cut).status().code(),
+              StatusCode::kCorruption)
+        << "truncation at " << cut << " decoded";
   }
+  payload.push_back(0);
+  EXPECT_EQ(DecodeResponse(payload.data(), payload.size()).status().code(),
+            StatusCode::kCorruption)
+      << "a trailing byte decoded";
+  payload.pop_back();
 
-  // A hostile class count must fail the size pre-check, not allocate.
-  std::vector<uint8_t> hostile(frame.begin() + kFrameHeaderBytes, frame.end());
-  const size_t count_at = legacy_len + 52 - 4;  // num_classes field
+  // A hostile class count must fail the size pre-check, not allocate. The
+  // 4-byte count is followed by the classes (109 fixed bytes + name each)
+  // and the 4-byte tenant id that ends the payload.
+  size_t count_at = payload_len - 4 - 4;
+  for (const auto& cls : response.slo) count_at -= 109 + cls.name.size();
+  std::vector<uint8_t> hostile = payload;
   hostile[count_at + 0] = 0xff;
   hostile[count_at + 1] = 0xff;
   hostile[count_at + 2] = 0xff;
@@ -513,17 +489,41 @@ TEST_F(ServerFixture, OverloadDegradesToCategoryAnswers) {
   EXPECT_EQ(response.status, ResponseStatus::kOk);
   EXPECT_EQ(response.degradation, Degradation::kOverload);
   EXPECT_EQ(response.objects.size(), 5u);
-  // Degraded distances are category midpoints: positive, finite estimates.
-  for (const double d : response.distances) {
-    EXPECT_GT(d, 0);
-  }
+  // Each served answer is the category-only mode of the query code.
+  const KnnResult direct = SignatureKnnQuery(*index_, 17, 5,
+                                             KnnResultType::kType1,
+                                             /*refine=*/false);
+  EXPECT_EQ(response.objects, direct.objects);
+  EXPECT_EQ(response.distances, direct.distances);
 
   Request range;
   range.type = RequestType::kRange;
   range.id = 7;
   range.node = 17;
   range.epsilon = 50;
-  EXPECT_EQ(MustCall(range).degradation, Degradation::kOverload);
+  const Response ranged = MustCall(range);
+  EXPECT_EQ(ranged.status, ResponseStatus::kOk);
+  EXPECT_EQ(ranged.degradation, Degradation::kOverload);
+  EXPECT_EQ(ranged.objects,
+            SignatureRangeQuery(*index_, 17, 50, /*refine=*/false).objects);
+
+  Request join;
+  join.type = RequestType::kJoin;
+  join.id = 8;
+  join.node = 17;
+  join.epsilon = 30;
+  const Response joined = MustCall(join);
+  EXPECT_EQ(joined.status, ResponseStatus::kOk);
+  EXPECT_EQ(joined.degradation, Degradation::kOverload);
+  const JoinResult direct_join =
+      SignatureEpsilonJoin(*index_, *index_, 17, 30, /*refine=*/false);
+  EXPECT_FALSE(direct_join.pairs.empty());
+  ASSERT_EQ(joined.pair_left.size(), direct_join.pairs.size());
+  ASSERT_EQ(joined.pair_right.size(), direct_join.pairs.size());
+  for (size_t i = 0; i < direct_join.pairs.size(); ++i) {
+    EXPECT_EQ(joined.pair_left[i], direct_join.pairs[i].left);
+    EXPECT_EQ(joined.pair_right[i], direct_join.pairs[i].right);
+  }
 }
 
 TEST_F(ServerFixture, DecodeFaultTagsTheResponse) {
@@ -626,8 +626,8 @@ TEST_F(ServerFixture, TraceIdIsEchoedOrMinted) {
   EXPECT_EQ(echoed.status, ResponseStatus::kOk);
   EXPECT_EQ(echoed.trace_id, knn.trace_id);
 
-  // A legacy client (trace_id 0) gets a server-minted id so its request is
-  // still traceable in the slow-query log.
+  // A request without a trace id (trace_id 0) gets a server-minted id so it
+  // is still traceable in the slow-query log.
   knn.id = 41;
   knn.trace_id = 0;
   const Response minted = MustCall(knn);

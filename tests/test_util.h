@@ -10,6 +10,7 @@
 #include "graph/graph_generator.h"
 #include "graph/road_network.h"
 #include "util/random.h"
+#include "workload/dataset_generator.h"
 
 namespace dsig {
 namespace testing_util {
@@ -80,6 +81,30 @@ inline std::vector<NodeId> SampleNodes(const RoadNetwork& graph, size_t count,
     nodes.push_back(n);
   }
   return nodes;
+}
+
+// The networks the category-only (`refine = false`) query tests sweep: a
+// planar city, a unit grid and a clustered continent, each with a dataset.
+struct CategoryOnlyCase {
+  const char* name;
+  RoadNetwork graph;
+  std::vector<NodeId> objects;
+};
+
+inline std::vector<CategoryOnlyCase> CategoryOnlyCases() {
+  std::vector<CategoryOnlyCase> cases;
+  cases.push_back({"planar", MakeRandomPlanar({.num_nodes = 500, .seed = 3}),
+                   {}});
+  cases.push_back({"grid", MakeGrid({.width = 24, .height = 24}), {}});
+  cases.push_back(
+      {"clustered",
+       MakeClusteredContinental(
+           {.num_clusters = 4, .nodes_per_cluster = 150, .seed = 5}),
+       {}});
+  for (CategoryOnlyCase& c : cases) {
+    c.objects = UniformDataset(c.graph, 0.06, 7);
+  }
+  return cases;
 }
 
 }  // namespace testing_util
