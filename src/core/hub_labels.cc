@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <limits>
-#include <numeric>
 #include <queue>
 #include <random>
 #include <utility>
@@ -58,49 +56,210 @@ double MeanLiveEdgeWeight(const RoadNetwork& graph) {
   return count == 0 ? 1.0 : sum / static_cast<double>(count);
 }
 
-// Centrality scores for the vertex order. kDegree: adjacency size. kCoverage:
-// adds, over sampled shortest-path trees, the size of each node's subtree —
-// the number of sampled shortest paths it lies on, which is precisely how
-// useful it is as an early hub.
-std::vector<double> CentralityScores(const RoadNetwork& graph,
+using MinHeap = std::priority_queue<std::pair<Weight, NodeId>,
+                                    std::vector<std::pair<Weight, NodeId>>,
+                                    std::greater<>>;
+
+// The live adjacency as CSR: node v's live edges, in adjacency order, are
+// arcs[offset[v], offset[v + 1]). One snapshot per Build(); the sample trees
+// and the pruned Dijkstras read it instead of skipping tombstones.
+struct LiveCsr {
+  struct Arc {
+    Weight weight;
+    NodeId to;
+  };
+  std::vector<size_t> offset;
+  std::vector<Arc> arcs;
+
+  explicit LiveCsr(const RoadNetwork& graph) : offset(graph.num_nodes() + 1) {
+    arcs.reserve(2 * graph.num_edges());
+    for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+      for (const AdjacencyEntry& hop : graph.adjacency(v)) {
+        if (!hop.removed) arcs.push_back({hop.weight, hop.to});
+      }
+      offset[v + 1] = arcs.size();
+    }
+  }
+  size_t num_nodes() const { return offset.size() - 1; }
+  size_t degree(NodeId v) const { return offset[v + 1] - offset[v]; }
+  const Arc* begin(NodeId v) const { return arcs.data() + offset[v]; }
+  const Arc* end(NodeId v) const { return arcs.data() + offset[v + 1]; }
+};
+
+// One sampled shortest-path tree, as views of its n-entry slices of the
+// arrays the greedy order owns. Its `reached` nodes sit at preorder
+// positions [0, reached): every subtree is a run of positions that starts at
+// its root, so covering one is a sequential scan. `size[p]` counts the
+// tree's root-to-x paths through the node at p that no taken node covers
+// yet; before the first take that is its subtree size.
+struct SampleTree {
+  static constexpr uint32_t kNone = ~uint32_t{0};
+  uint32_t* position = nullptr;  // by node; kNone if the root does not reach it
+  NodeId* node = nullptr;        // by position
+  uint32_t* parent = nullptr;    // by position; kNone at the root
+  uint32_t* size = nullptr;      // by position
+  uint32_t reached = 0;
+};
+
+// Fills `tree` with the shortest-path tree from `root`.
+void GrowSampleTree(const LiveCsr& csr, NodeId root, SampleTree* tree) {
+  const size_t n = csr.num_nodes();
+  std::vector<Weight> dist(n, kInfiniteWeight);
+  std::vector<NodeId> parent(n, kInvalidNode);
+  std::vector<NodeId> settled;
+  MinHeap queue;
+  dist[root] = 0;
+  queue.push({0, root});
+  while (!queue.empty()) {
+    const auto [d, u] = queue.top();
+    queue.pop();
+    if (d > dist[u]) continue;  // stale entry
+    settled.push_back(u);
+    for (const LiveCsr::Arc* a = csr.begin(u); a != csr.end(u); ++a) {
+      const Weight nd = d + a->weight;
+      if (nd < dist[a->to]) {
+        dist[a->to] = nd;
+        parent[a->to] = u;
+        queue.push({nd, a->to});
+      }
+    }
+  }
+  std::vector<uint32_t> subtree(n, 0);
+  for (size_t i = settled.size(); i-- > 0;) {
+    const NodeId v = settled[i];
+    subtree[v] += 1;
+    if (parent[v] != kInvalidNode) subtree[parent[v]] += subtree[v];
+  }
+  // Preorder: in settle order (parents first), each child claims the next
+  // subtree-sized run inside its parent's run.
+  std::fill_n(tree->position, n, SampleTree::kNone);
+  std::vector<uint32_t> next_free(n);
+  for (const NodeId v : settled) {
+    uint32_t p = 0;
+    uint32_t parent_position = SampleTree::kNone;
+    if (parent[v] != kInvalidNode) {
+      parent_position = tree->position[parent[v]];
+      p = next_free[parent[v]];
+      next_free[parent[v]] += subtree[v];
+    }
+    next_free[v] = p + 1;
+    tree->position[v] = p;
+    tree->node[p] = v;
+    tree->parent[p] = parent_position;
+    tree->size[p] = subtree[v];
+  }
+  tree->reached = static_cast<uint32_t>(settled.size());
+}
+
+// A node in the greedy order's lazy max-heap: most uncovered sampled paths
+// first, then the higher static score, then the lower node id.
+struct Candidate {
+  uint64_t uncovered;
+  uint64_t static_score;
+  NodeId node;
+
+  bool operator<(const Candidate& o) const {
+    if (uncovered != o.uncovered) return uncovered < o.uncovered;
+    if (static_score != o.static_score) return static_score < o.static_score;
+    return node > o.node;
+  }
+};
+
+// The vertex order: a greedy cover of sampled shortest paths (the sampling
+// scheme of RXL, Delling et al., ESA 2014). Repeatedly ranks next the node
+// on the most sampled root-to-x paths that no earlier node lies on, until
+// every sampled path is covered; the nodes left follow in static-score
+// order. The static score is the live degree plus 1024 times the node's
+// subtree sizes summed over the samples.
+std::vector<NodeId> GreedyCoverOrder(const LiveCsr& csr,
                                      const HubLabels::BuildOptions& options,
                                      ThreadPool* pool) {
-  const size_t n = graph.num_nodes();
-  std::vector<double> score(n);
-  for (NodeId v = 0; v < n; ++v) {
-    score[v] = static_cast<double>(graph.degree(v));
-  }
-  if (options.order != HubLabels::BuildOptions::Order::kCoverage || n < 2) {
-    return score;
-  }
+  const size_t n = csr.num_nodes();
   const size_t samples = std::min(options.coverage_samples, n);
   std::mt19937_64 rng(options.seed);
   std::vector<NodeId> roots(samples);
+  for (NodeId& root : roots) root = static_cast<NodeId>(rng() % n);
+
+  std::vector<uint32_t> position(samples * n);
+  std::vector<NodeId> node(samples * n);
+  std::vector<uint32_t> parent(samples * n);
+  std::vector<uint32_t> size(samples * n);
+  std::vector<SampleTree> trees(samples);
   for (size_t s = 0; s < samples; ++s) {
-    roots[s] = static_cast<NodeId>(rng() % n);
+    trees[s] = {position.data() + s * n, node.data() + s * n,
+                parent.data() + s * n, size.data() + s * n};
   }
-  std::vector<std::vector<double>> subtree(samples);
-  const auto run_sample = [&](size_t s) {
-    const ShortestPathTree tree = RunDijkstra(graph, roots[s]);
-    std::vector<double>& size = subtree[s];
-    size.assign(n, 0);
-    for (size_t i = tree.settle_order.size(); i-- > 0;) {
-      const NodeId v = tree.settle_order[i];
-      size[v] += 1;
-      if (tree.parent[v] != kInvalidNode) size[tree.parent[v]] += size[v];
-    }
+  const auto grow = [&](size_t s) {
+    GrowSampleTree(csr, roots[s], &trees[s]);
   };
   if (pool != nullptr) {
-    pool->ParallelFor(samples, run_sample);
+    pool->ParallelFor(samples, grow);
   } else {
-    for (size_t s = 0; s < samples; ++s) run_sample(s);
+    for (size_t s = 0; s < samples; ++s) grow(s);
   }
-  // Subtree sizes dominate the degree term (which only breaks ties among
-  // nodes the samples never separated).
-  for (size_t s = 0; s < samples; ++s) {
-    for (NodeId v = 0; v < n; ++v) score[v] += subtree[s][v] * 1024.0;
+
+  std::vector<uint64_t> uncovered(n, 0);
+  for (const SampleTree& t : trees) {
+    for (uint32_t p = 0; p < t.reached; ++p) uncovered[t.node[p]] += t.size[p];
   }
-  return score;
+  std::vector<uint64_t> static_score(n);
+  std::vector<Candidate> candidates;
+  for (NodeId v = 0; v < n; ++v) {
+    static_score[v] = 1024 * uncovered[v] + csr.degree(v);
+    if (uncovered[v] > 0) {
+      candidates.push_back({uncovered[v], static_score[v], v});
+    }
+  }
+  std::priority_queue<Candidate> heap({}, std::move(candidates));
+
+  std::vector<NodeId> order;
+  order.reserve(n);
+  std::vector<char> ranked(n, 0);
+  while (!heap.empty()) {
+    Candidate top = heap.top();
+    heap.pop();
+    // Counts only fall, so a stale key overstates its node: re-queue it at
+    // its current count, and take a node only when its key is current.
+    if (top.uncovered != uncovered[top.node]) {
+      if (uncovered[top.node] == 0) continue;
+      top.uncovered = uncovered[top.node];
+      heap.push(top);
+      continue;
+    }
+    const NodeId v = top.node;
+    order.push_back(v);
+    ranked[v] = 1;
+    // v covers every uncovered path through it: take them off v's
+    // ancestors and zero v's subtree, in every tree.
+    for (SampleTree& t : trees) {
+      const uint32_t p = t.position[v];
+      if (p == SampleTree::kNone || t.size[p] == 0) continue;
+      const uint32_t covered = t.size[p];
+      for (uint32_t a = t.parent[p]; a != SampleTree::kNone; a = t.parent[a]) {
+        t.size[a] -= covered;
+        uncovered[t.node[a]] -= covered;
+      }
+      // The subtree ends at the first position whose parent lies before p.
+      for (uint32_t q = p; q < t.reached && (q == p || t.parent[q] >= p);
+           ++q) {
+        uncovered[t.node[q]] -= t.size[q];
+        t.size[q] = 0;
+      }
+    }
+  }
+
+  const size_t covered_prefix = order.size();
+  for (NodeId v = 0; v < n; ++v) {
+    if (ranked[v] == 0) order.push_back(v);
+  }
+  std::sort(order.begin() + static_cast<ptrdiff_t>(covered_prefix),
+            order.end(), [&static_score](NodeId a, NodeId b) {
+              if (static_score[a] != static_score[b]) {
+                return static_score[a] > static_score[b];
+              }
+              return a < b;
+            });
+  return order;
 }
 
 }  // namespace
@@ -119,14 +278,8 @@ std::shared_ptr<HubLabels> HubLabels::Build(const RoadNetwork& graph,
     return labels;
   }
 
-  // Vertex order: highest score first, node id breaking exact ties so the
-  // build is deterministic for every thread count.
-  const std::vector<double> score = CentralityScores(graph, options, pool);
-  std::vector<NodeId> order(n);
-  std::iota(order.begin(), order.end(), NodeId{0});
-  std::stable_sort(order.begin(), order.end(), [&score](NodeId a, NodeId b) {
-    return score[a] > score[b];
-  });
+  const LiveCsr csr(graph);
+  const std::vector<NodeId> order = GreedyCoverOrder(csr, options, pool);
   std::vector<uint32_t>& rank_of = labels->rank_of_;
   rank_of.assign(n, 0);
   for (uint32_t r = 0; r < n; ++r) rank_of[order[r]] = r;
@@ -136,68 +289,54 @@ std::shared_ptr<HubLabels> HubLabels::Build(const RoadNetwork& graph,
   std::vector<std::vector<uint32_t>> hub_of(n);
   std::vector<std::vector<double>> dist_of(n);
 
-  // Pruned Dijkstra per root, in rank order. Stamped scratch arrays avoid an
-  // O(n) clear per root.
+  // Pruned Dijkstra per root, in rank order. `root_dist` holds the root's
+  // label scattered by hub rank and +inf elsewhere, so the prune test needs
+  // no membership check; `dist` is +inf off the current search, -1 once
+  // settled. Both are reset entry by entry after each root.
+  std::vector<Weight> root_dist(n, kInfiniteWeight);
   std::vector<Weight> dist(n, kInfiniteWeight);
-  std::vector<uint32_t> dist_stamp(n, 0);
-  std::vector<Weight> root_dist(n, kInfiniteWeight);  // root's label, by hub
-  std::vector<uint32_t> root_stamp(n, 0);
-  uint32_t stamp = 0;
+  std::vector<NodeId> reached;
   uint64_t pruned = 0;
-  using QueueEntry = std::pair<Weight, NodeId>;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                      std::greater<QueueEntry>>
-      queue;
+  MinHeap queue;
 
   for (uint32_t rank = 0; rank < n; ++rank) {
     const NodeId root = order[rank];
-    ++stamp;
-    // Index the root's current label for O(1) lookups during this search.
     for (size_t i = 0; i < hub_of[root].size(); ++i) {
       root_dist[hub_of[root][i]] = dist_of[root][i];
-      root_stamp[hub_of[root][i]] = stamp;
     }
     dist[root] = 0;
-    dist_stamp[root] = stamp;
+    reached.push_back(root);
     queue.push({0, root});
     while (!queue.empty()) {
       const auto [d, u] = queue.top();
       queue.pop();
-      if (dist_stamp[u] != stamp || d > dist[u]) continue;  // stale entry
-      dist[u] = -1;  // settled marker (real distances are >= 0)
+      if (d > dist[u]) continue;  // stale or settled
+      dist[u] = -1;
       // Prune: if the labels built so far already certify d(root, u) <= d
       // through an earlier hub, u needs no entry for this root and the
       // search need not expand it.
-      Weight via_labels = kInfiniteWeight;
-      for (size_t i = 0; i < hub_of[u].size(); ++i) {
-        const uint32_t h = hub_of[u][i];
-        if (root_stamp[h] == stamp) {
-          via_labels = std::min(via_labels, dist_of[u][i] + root_dist[h]);
-        }
-      }
-      if (via_labels <= d) {
+      std::vector<uint32_t>& hubs = hub_of[u];
+      std::vector<double>& hub_dists = dist_of[u];
+      size_t i = 0;
+      while (i < hubs.size() && hub_dists[i] + root_dist[hubs[i]] > d) ++i;
+      if (i < hubs.size()) {
         ++pruned;
         continue;
       }
-      hub_of[u].push_back(rank);
-      dist_of[u].push_back(d);
-      if (u == root) {  // keep the root's index current with its new entry
-        root_dist[rank] = 0;
-        root_stamp[rank] = stamp;
-      }
-      for (const AdjacencyEntry& hop : graph.adjacency(u)) {
-        if (hop.removed) continue;
-        const Weight nd = d + hop.weight;
-        if (dist_stamp[hop.to] != stamp) {
-          dist_stamp[hop.to] = stamp;
-          dist[hop.to] = nd;
-          queue.push({nd, hop.to});
-        } else if (dist[hop.to] >= 0 && nd < dist[hop.to]) {
-          dist[hop.to] = nd;
-          queue.push({nd, hop.to});
+      hubs.push_back(rank);
+      hub_dists.push_back(d);
+      for (const LiveCsr::Arc* a = csr.begin(u); a != csr.end(u); ++a) {
+        const Weight nd = d + a->weight;
+        if (nd < dist[a->to]) {
+          if (dist[a->to] == kInfiniteWeight) reached.push_back(a->to);
+          dist[a->to] = nd;
+          queue.push({nd, a->to});
         }
       }
     }
+    for (const uint32_t h : hub_of[root]) root_dist[h] = kInfiniteWeight;
+    for (const NodeId v : reached) dist[v] = kInfiniteWeight;
+    reached.clear();
   }
   labels->pruned_settles_ = pruned;
 

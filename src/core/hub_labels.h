@@ -9,17 +9,33 @@
 //
 //     d(u, v) = min over shared hubs h of  d(u, h) + d(h, v).
 //
-// Construction (Akiba et al.'s pruned landmark labeling): order nodes by
-// estimated centrality, then run one *pruned* Dijkstra per node in that
-// order. When the Dijkstra from root r settles u at distance d, the already
-// built labels are queried first — if they certify d(r, u) <= d through an
-// earlier (more central) hub, u is pruned: it gets no entry for r and the
-// search does not expand it. Central roots therefore build big trees and
-// every later root's tree collapses to a thin residual, which is what keeps
-// labels short. Root processing is inherently sequential (each root's
-// pruning consults every earlier root's entries); the centrality estimate
-// (sampled shortest-path trees) and the flattening sweep run on the shared
-// ThreadPool.
+// Construction (Akiba et al.'s pruned landmark labeling): order the nodes,
+// then run one *pruned* Dijkstra per node in that order. When the Dijkstra
+// from root r settles u at distance d, the already built labels are queried
+// first — if they certify d(r, u) <= d through an earlier hub, u is pruned:
+// it gets no entry for r and the search does not expand it. Early roots
+// therefore build big trees and every later root's tree collapses to a thin
+// residual, which is what keeps labels short. Root processing is inherently
+// sequential (each root's pruning consults every earlier root's entries).
+//
+// The order decides the label size, so it is a greedy cover of sampled
+// shortest paths (the sampling scheme of RXL: Delling, Goldberg, Pajor and
+// Werneck, "Robust Distance Queries on Massive Networks", ESA 2014). Grow
+// `coverage_samples` shortest-path trees from seeded random roots, then
+// repeatedly rank next the node that lies on the most sampled root-to-node
+// paths no earlier node lies on; taking a node subtracts its subtree from
+// its ancestors and zeroes its descendants in every tree. Once every sampled
+// path is covered, the remaining nodes follow by static score: their subtree
+// sizes summed over the samples, then their live degree, then node id. The
+// trees grow on the shared ThreadPool into per-tree slices of arrays the
+// calling thread allocates (16 B per node per sample: each node's position
+// in a preorder that keeps every subtree contiguous, and per position the
+// node, its parent's position and its uncovered count), so covering a
+// subtree is a sequential scan. They are freed before the first pruned
+// Dijkstra.
+// The greedy runs on the calling thread and depends on the graph alone, so
+// the labels are byte-identical at every thread count. The sample trees and
+// the pruned Dijkstras all read one CSR snapshot of the live adjacency.
 //
 // The label arrays are canonical: per node, hubs strictly ascending by rank
 // with their distances in lockstep — exactly the layout the simd
@@ -96,18 +112,14 @@ struct HubLabelStats {
 class HubLabels {
  public:
   struct BuildOptions {
-    // Vertex order: highest estimated centrality first. kDegree is the
-    // cheap classic; kCoverage refines it with sampled shortest-path-tree
-    // subtree sizes (nodes that sit on many shortest paths rank early, which
-    // is what makes pruning bite).
-    enum class Order { kDegree, kCoverage };
-    Order order = Order::kCoverage;
-    size_t coverage_samples = 16;  // sampled SPT roots for kCoverage
-    uint64_t seed = 0x9e3779b97f4a7c15ull;
+    // Shortest-path trees sampled for the greedy vertex order ("Construction"
+    // above). 0 orders the nodes by live degree, then node id.
+    size_t coverage_samples = 64;
+    uint64_t seed = 0x9e3779b97f4a7c15ull;  // picks the sampled roots
   };
 
-  // Builds labels for every node of `graph`. `pool` parallelizes the
-  // centrality estimate and the flattening sweep (null = run on the caller).
+  // Builds labels for every node of `graph`. `pool` grows the sample trees
+  // and runs the flattening sweep (null = run on the caller).
   static std::shared_ptr<HubLabels> Build(const RoadNetwork& graph,
                                           const BuildOptions& options,
                                           ThreadPool* pool);

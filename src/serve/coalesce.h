@@ -18,7 +18,9 @@
 //
 // Leaders publish through an RAII guard: every exit path either publishes a
 // response or abandons the flight, so followers can never park forever on a
-// leader that errored out.
+// leader that errored out. The server publishes only complete exact answers:
+// the key ignores the tenant, but the category-only (overload) decision is
+// made per tenant, so a leader that degraded abandons instead.
 #ifndef DSIG_SERVE_COALESCE_H_
 #define DSIG_SERVE_COALESCE_H_
 

@@ -463,10 +463,12 @@ Response DsigServer::Handle(const Request& request) {
         break;
       }
     }
-    if (leader != nullptr && response.status == ResponseStatus::kOk) {
-      // Publish only complete answers; sheds, errors, and partial results
-      // abandon the flight (via the guard) so followers fend for
-      // themselves instead of inheriting this request's failure.
+    if (leader != nullptr && response.status == ResponseStatus::kOk &&
+        response.degradation != Degradation::kOverload) {
+      // Publish only complete exact answers; sheds, errors, partial results
+      // and category-only answers abandon the flight (via the guard). The
+      // degrade decision is this tenant's, so each follower is admitted
+      // and planned under its own tenant's queue pressure instead.
       leader->Publish(response);
     }
   }

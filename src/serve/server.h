@@ -11,7 +11,9 @@
 //                connection — never abort the process.
 //   * coalesce   identical concurrent hot queries single-flight
 //                (serve/coalesce.h): one leader executes, followers share
-//                its answer without consuming admission slots.
+//                its exact answer without consuming admission slots. A
+//                category-only leader answer is not shared; its followers
+//                run on their own.
 //   * admit      per-tenant bounded queues drained deficit-weighted
 //                round-robin with token-bucket rate limits
 //                (serve/admission.h). Shed replies RETRY_AFTER; a deadline

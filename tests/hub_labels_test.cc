@@ -156,11 +156,11 @@ TEST(HubLabelsTest, MatchesDijkstraOnClusteredContinental) {
   ExpectMatchesDijkstra(g, *labels, testing_util::SampleNodes(g, 10, 19));
 }
 
+// With no sampled trees the greedy cover takes no node, so the order is the
+// static one, live degree then node id: labels stay exact under it too.
 TEST(HubLabelsTest, DegreeOrderIsAlsoExact) {
   const RoadNetwork g = MakeRandomPlanar({.num_nodes = 300, .seed = 31});
-  HubLabels::BuildOptions options;
-  options.order = HubLabels::BuildOptions::Order::kDegree;
-  const auto labels = HubLabels::Build(g, options, nullptr);
+  const auto labels = HubLabels::Build(g, {.coverage_samples = 0}, nullptr);
   ASSERT_TRUE(labels->ready());
   ExpectMatchesDijkstra(g, *labels, testing_util::SampleNodes(g, 8, 31));
 }
@@ -404,13 +404,29 @@ TEST(HubLabelsTest, StaleLatchIsSticky) {
   EXPECT_EQ(labels->Distance(0, 1), 4.0);
 }
 
+// The sample trees grow on the pool; the greedy order and the pruned
+// Dijkstras run on the caller. The blob must not depend on the thread count,
+// also on networks large enough for the greedy to take many nodes.
 TEST(HubLabelsTest, BuildIsDeterministicAcrossPools) {
-  const RoadNetwork g = MakeRandomPlanar({.num_nodes = 200, .seed = 29});
-  const auto serial = HubLabels::Build(g, {}, nullptr);
-  const auto parallel = HubLabels::Build(g, {}, &ThreadPool::Global());
-  ASSERT_TRUE(serial->ready());
-  ASSERT_TRUE(parallel->ready());
-  EXPECT_EQ(serial->Serialize(), parallel->Serialize());
+  const RoadNetwork networks[] = {
+      MakeRandomPlanar({.num_nodes = 200, .seed = 29}),
+      MakeRandomPlanar({.num_nodes = 2000, .seed = 29}),
+      MakeGrid({.width = 50, .height = 50}),
+      MakeClusteredContinental({.num_clusters = 4, .nodes_per_cluster = 500,
+                                .seed = 29}),
+  };
+  for (const RoadNetwork& g : networks) {
+    SCOPED_TRACE(g.num_nodes());
+    const auto serial = HubLabels::Build(g, {}, nullptr);
+    ASSERT_TRUE(serial->ready());
+    const std::vector<uint8_t> blob = serial->Serialize();
+    for (const size_t threads : {1, 2, 4}) {
+      ThreadPool pool(threads);
+      const auto parallel = HubLabels::Build(g, {}, &pool);
+      ASSERT_TRUE(parallel->ready());
+      EXPECT_EQ(parallel->Serialize(), blob) << threads << " threads";
+    }
+  }
 }
 
 }  // namespace

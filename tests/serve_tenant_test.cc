@@ -393,6 +393,52 @@ TEST_F(TenantServerFixture, IdenticalConcurrentQueriesExecuteOnce) {
       << "followers did not get their own ids re-stamped";
 }
 
+// The degrade decision belongs to the leader's tenant, so a category-only
+// answer is never shared: the leader abandons the flight and every follower
+// is admitted and planned on its own.
+TEST_F(TenantServerFixture, FollowersNeverInheritADegradedAnswer) {
+  ServerOptions options;
+  options.degrade_queue_fraction = -1;  // every query answers category-only
+  options.coalesce_hold_for_test_ms = 500;
+  StartServer(options);
+
+  auto& registry = obs::MetricsRegistry::Global();
+  const uint64_t admitted0 =
+      registry.GetCounter("serve.query.admitted")->Value();
+
+  constexpr int kClients = 4;
+  std::mutex mu;
+  std::vector<Response> answers;
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kClients; ++i) {
+    clients.emplace_back([&, i] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100 * i));
+      ServeClient client;
+      if (!client.Connect(server_->port(), 10000).ok()) return;
+      Request knn;
+      knn.type = RequestType::kKnn;
+      knn.id = 2000 + static_cast<uint64_t>(i);
+      knn.node = 17;
+      knn.k = 5;
+      knn.knn_type = 1;
+      auto response = client.Call(knn);
+      if (response.ok()) {
+        std::lock_guard<std::mutex> lock(mu);
+        answers.push_back(*response);
+      }
+    });
+  }
+  for (std::thread& c : clients) c.join();
+
+  ASSERT_EQ(answers.size(), static_cast<size_t>(kClients));
+  EXPECT_EQ(registry.GetCounter("serve.query.admitted")->Value() - admitted0,
+            static_cast<uint64_t>(kClients));
+  for (const Response& r : answers) {
+    EXPECT_EQ(r.status, ResponseStatus::kOk);
+    EXPECT_EQ(r.degradation, Degradation::kOverload);
+  }
+}
+
 TEST_F(TenantServerFixture, TenantIdsResolveToTheirTenantOrTheDefault) {
   ServerOptions options;
   options.admission.tenants = {{"default", 1.0, 0, 0}, {"other", 1.0, 0, 0}};
