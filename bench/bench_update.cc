@@ -4,8 +4,9 @@
 // index and reports how many spanning-tree entries and signature rows each
 // update touches, versus the cost of rebuilding the index from scratch.
 // Expected shape: updates touch a small fraction of rows (locality from the
-// exponential categories + reverse edge index), orders of magnitude cheaper
-// than a rebuild.
+// exponential categories + the spanning forest's parent edges, which name
+// the objects whose trees use an edge), orders of magnitude cheaper than a
+// rebuild.
 //
 // A second exhibit measures what durability costs: the same update stream
 // applied in-place versus through DurableUpdater's WAL at each sync policy.

@@ -33,7 +33,7 @@
 //
 // `stats --updates=N` first drives N random live updates through
 // SignatureUpdater (rebuilding the spanning forest on load), so the
-// update.* counters and epoch gauges appear in the dump alongside the query
+// update.* counters appear in the dump alongside the query
 // metrics. `chaos` is the command-line face of the update/query chaos
 // harness: it builds a throwaway deployment in --dir, hammers it with a
 // random update storm under the WAL while query threads run concurrently,
@@ -358,7 +358,7 @@ int Stats(const Flags& flags) {
   }
 
   // Optional live-update leg: drive random mutations through the updater so
-  // the update.* counters and epoch gauges show up in the dump.
+  // the update.* counters show up in the dump.
   const int num_updates = static_cast<int>(flags.GetInt("updates", 0));
   if (num_updates > 0) {
     loaded.index->RebuildForest();  // persistence does not store the forest
@@ -381,7 +381,6 @@ int Stats(const Flags& flags) {
         updater.SetEdgeWeight(e, rng.NextInt(1, 10));
       }
     }
-    loaded.index->ReclaimRetiredRows();  // freshen the epoch gauges
   }
 
   const std::vector<NodeId> queries =
@@ -528,7 +527,6 @@ int Chaos(const Flags& flags) {
       static_cast<unsigned long long>(recovered->updater->checkpoint_seq()),
       static_cast<unsigned long long>(recovered->replayed_records));
 
-  recovered->index->ReclaimRetiredRows();
   PublishOpCounters();
   std::printf("%s\n", obs::MetricsRegistry::Global().ToJson().c_str());
   return 0;

@@ -78,8 +78,8 @@ int main(int argc, char** argv) {
       city, stations, {.t = 10, .c = 2.718281828, .keep_forest = true});
 
   // Every mutation goes WAL-first; a checkpoint every N updates bounds
-  // recovery replay. Queries keep running against epoch snapshots while
-  // updates apply.
+  // recovery replay. Queries may run concurrently with updates; the index's
+  // EpochGate lets each see a whole update or none of it.
   DurableOptions options;
   options.checkpoint_interval =
       static_cast<uint64_t>(flags.GetInt("checkpoint-interval", 25));

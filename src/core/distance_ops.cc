@@ -332,16 +332,12 @@ CompareResult CompareWithCursors(RetrievalCursor* ca, RetrievalCursor* cb) {
 
 }  // namespace
 
-void SortByDistance(const SignatureIndex& index, NodeId n,
-                    const RowStage& stage, std::vector<uint32_t>* objects) {
-  const obs::Span span(obs::Phase::kSort);
-  const ReadSnapshot snapshot(index.epoch_gate());
+bool ApproximateSortByDistance(const SignatureIndex& index, NodeId n,
+                               const RowStage& stage,
+                               std::vector<uint32_t>* objects) {
   std::vector<uint32_t>& objs = *objects;
-  // Initial ordering: insertion sort driven by the approximate comparison.
-  // (The observer heuristic is not a strict weak ordering, so std::sort is
-  // off the table; insertion sort is safe with any comparator.)
   for (size_t i = 1; i < objs.size(); ++i) {
-    if ((i & 15u) == 0 && DeadlineExpired()) return;
+    if ((i & 15u) == 0 && DeadlineExpired()) return false;
     const uint32_t value = objs[i];
     size_t j = i;
     while (j > 0 && ApproximateCompare(index, n, value, objs[j - 1], stage) ==
@@ -351,6 +347,15 @@ void SortByDistance(const SignatureIndex& index, NodeId n,
     }
     objs[j] = value;
   }
+  return true;
+}
+
+void SortByDistance(const SignatureIndex& index, NodeId n,
+                    const RowStage& stage, std::vector<uint32_t>* objects) {
+  const obs::Span span(obs::Phase::kSort);
+  const ReadSnapshot snapshot(index.epoch_gate());
+  if (!ApproximateSortByDistance(index, n, stage, objects)) return;
+  std::vector<uint32_t>& objs = *objects;
   // Refinement (Algorithm 4): exact-compare consecutive pairs, bubbling a
   // switched element back until the order is confirmed. One cursor per
   // object persists across comparisons.

@@ -86,6 +86,17 @@ CompareResult ExactCompare(const SignatureIndex& index, NodeId n, uint32_t a,
 CompareResult ApproximateCompare(const SignatureIndex& index, NodeId n,
                                  uint32_t a, uint32_t b, const RowStage& stage);
 
+// Algorithm 4's first phase: insertion sort of `objects` by approximate
+// comparison. (The observer heuristic is not a strict weak ordering, so
+// std::sort is off the table; insertion sort is safe with any comparator.)
+// Checks the ambient deadline every 16 insertions and returns false when it
+// expired mid-pass, leaving `objects` a permutation of its input. Both
+// SortByDistance and the planner's RoutedSortByDistance run this pass, so
+// their final orders agree bit for bit.
+bool ApproximateSortByDistance(const SignatureIndex& index, NodeId n,
+                               const RowStage& stage,
+                               std::vector<uint32_t>* objects);
+
 // Distance sorting (Algorithm 4): an approximate-comparison insertion sort
 // followed by an exact-comparison bubble refinement. On return `objects` is
 // exactly ordered by d(n, ·) — unless the ambient request deadline

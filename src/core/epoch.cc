@@ -1,6 +1,5 @@
 #include "core/epoch.h"
 
-#include <thread>
 #include <vector>
 
 #include "util/logging.h"
@@ -14,9 +13,8 @@ namespace {
 // rebuilt one), so a linear scan of a tiny vector beats any map.
 struct GateState {
   const EpochGate* gate;
-  int depth;        // nested ReadSnapshot count
-  bool writer;      // inside an UpdateGuard
-  uint64_t epoch;   // epoch the outermost snapshot pinned
+  int depth;    // nested ReadSnapshot count
+  bool writer;  // inside an UpdateGuard
 };
 
 thread_local std::vector<GateState> tls_gates;
@@ -41,81 +39,24 @@ void EraseGate(const EpochGate* gate) {
 
 }  // namespace
 
-uint64_t EpochGate::MinPinnedEpoch() const {
-  uint64_t min_pinned = current_epoch();
-  for (const PinSlot& slot : pins_) {
-    const uint64_t pinned = slot.epoch.load(std::memory_order_seq_cst);
-    if (pinned != 0 && pinned < min_pinned) min_pinned = pinned;
-  }
-  return min_pinned;
-}
-
-bool EpochGate::ThisThreadHoldsWrite() const {
-  const GateState* state = FindGate(this);
-  return state != nullptr && state->writer;
-}
-
 ReadSnapshot::ReadSnapshot(EpochGate* gate) : gate_(gate) {
-  GateState* state = FindGate(gate);
-  if (state != nullptr) {
-    if (state->writer) {
-      // The updater reading through the ordinary paths must see its own
-      // not-yet-committed rows, and must not self-deadlock on the lock.
-      epoch_ = ~uint64_t{0};
-      return;
-    }
-    ++state->depth;
-    epoch_ = state->epoch;
+  if (GateState* state = FindGate(gate)) {
+    // Already inside: a nested snapshot shares the outer one's shared lock,
+    // and the updater reading through the ordinary paths sees its own rows
+    // without taking the lock it holds exclusively.
+    if (!state->writer) ++state->depth;
     return;
   }
-
-  outermost_ = true;
   gate->mu_.lock_shared();
-  // Claim a pin slot, then validate: if the epoch moved between reading it
-  // and publishing the pin, a concurrent reclaimer may have missed us, so
-  // re-pin at the newer epoch. (Under the shared lock no writer can be
-  // advancing the epoch concurrently, so this loop exits first try; it keeps
-  // the pin protocol independently correct for any future gate-free reader.)
-  const size_t start =
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) %
-      EpochGate::kPinSlots;
-  for (int probe = 0; probe < EpochGate::kPinSlots; ++probe) {
-    const size_t i = (start + probe) % EpochGate::kPinSlots;
-    uint64_t free_slot = 0;
-    if (gate->pins_[i].epoch.compare_exchange_strong(
-            free_slot, gate->epoch_.load(std::memory_order_seq_cst),
-            std::memory_order_seq_cst)) {
-      slot_ = static_cast<int>(i);
-      break;
-    }
-  }
-  if (slot_ >= 0) {
-    for (;;) {
-      const uint64_t now = gate->epoch_.load(std::memory_order_seq_cst);
-      if (gate->pins_[slot_].epoch.load(std::memory_order_seq_cst) == now) {
-        epoch_ = now;
-        break;
-      }
-      gate->pins_[slot_].epoch.store(now, std::memory_order_seq_cst);
-    }
-  } else {
-    // All slots busy: the shared lock alone still excludes the writer, so
-    // reading the current epoch unpinned is safe for lock-holding readers.
-    epoch_ = gate->epoch_.load(std::memory_order_seq_cst);
-  }
-  tls_gates.push_back({gate, 1, false, epoch_});
+  tls_gates.push_back({gate, 1, false});
 }
 
 ReadSnapshot::~ReadSnapshot() {
   GateState* state = FindGate(gate_);
   DSIG_CHECK(state != nullptr);
-  if (state->writer) return;  // no-op snapshot inside the write guard
-  if (--state->depth > 0) return;
+  if (state->writer || --state->depth > 0) return;
   EraseGate(gate_);
-  if (slot_ >= 0) {
-    gate_->pins_[slot_].epoch.store(0, std::memory_order_seq_cst);
-  }
-  if (outermost_) gate_->mu_.unlock_shared();
+  gate_->mu_.unlock_shared();
 }
 
 UpdateGuard::UpdateGuard(EpochGate* gate) : gate_(gate) {
@@ -125,15 +66,11 @@ UpdateGuard::UpdateGuard(EpochGate* gate) : gate_(gate) {
       << (state != nullptr && state->writer ? "(nested update)"
                                             : "(inside a ReadSnapshot)");
   gate->mu_.lock();
-  publish_epoch_ = gate->epoch_.load(std::memory_order_relaxed) + 1;
-  tls_gates.push_back({gate, 0, true, publish_epoch_});
+  tls_gates.push_back({gate, 0, true});
 }
 
 UpdateGuard::~UpdateGuard() {
   EraseGate(gate_);
-  // Release store: everything published into the row store while the guard
-  // was held happens-before any reader that observes the new epoch.
-  gate_->epoch_.store(publish_epoch_, std::memory_order_release);
   gate_->mu_.unlock();
 }
 

@@ -50,7 +50,7 @@ void SignatureIndex::ReadRowStaged(NodeId n, RowStage* stage) const {
     const obs::Span span(obs::Phase::kRowDecode);
     DSIG_CHECK_LT(n, rows_.size());
     ++GlobalOpCounters().row_reads;
-    const EncodedRow& encoded = rows_.Read(n, snapshot.epoch());
+    const EncodedRow& encoded = rows_[n];
     if (merged_) {
       // Only the signature portion of the combined record is scanned.
       store_.TouchRecordBits(n, adjacency_bits_[n],
@@ -78,7 +78,7 @@ SignatureEntry SignatureIndex::ReadEntry(NodeId n,
   DSIG_CHECK_LT(n, rows_.size());
   DSIG_CHECK_LT(object_index, objects_.size());
   ++GlobalOpCounters().entry_reads;
-  const EncodedRow& encoded = rows_.Read(n, snapshot.epoch());
+  const EncodedRow& encoded = rows_[n];
   uint64_t bit_offset = 0;
   SignatureEntry entry;
   if (!codec_.TryDecodeEntry(encoded, object_index, &entry, &bit_offset)) {
@@ -195,31 +195,13 @@ void SignatureIndex::ComputeFallbackRow(NodeId n, RowStage* row) const {
 EncodedRow& SignatureIndex::mutable_encoded_row(NodeId n) {
   DSIG_CHECK_LT(n, rows_.size());
   row_cache_->Erase(n);
-  return rows_.MutableNewest(n);
-}
-
-void SignatureIndex::InvalidateCachedRows(const std::vector<NodeId>& nodes) {
-  for (const NodeId n : nodes) row_cache_->Erase(n);
+  return rows_[n];
 }
 
 void SignatureIndex::DropFallbackRows() {
   if (fallback_cached_.exchange(false, std::memory_order_relaxed)) {
     row_cache_->Clear();
   }
-}
-
-void SignatureIndex::ReclaimRetiredRows() {
-  const uint64_t min_pinned = gate_.MinPinnedEpoch();
-  rows_.Reclaim(min_pinned);
-  auto& registry = obs::MetricsRegistry::Global();
-  static obs::Gauge* const epoch_gauge = registry.GetGauge("update.epoch");
-  static obs::Gauge* const lag_gauge = registry.GetGauge("update.epoch_lag");
-  static obs::Gauge* const retired_gauge =
-      registry.GetGauge("update.retired_bytes");
-  const uint64_t current = gate_.current_epoch();
-  epoch_gauge->Set(static_cast<double>(current));
-  lag_gauge->Set(static_cast<double>(current - min_pinned));
-  retired_gauge->Set(static_cast<double>(rows_.retired_bytes()));
 }
 
 void SignatureIndex::ConfigureRowCache(const RowCache::Options& options) {
@@ -231,7 +213,7 @@ void SignatureIndex::AttachStorage(BufferManager* buffer,
                                    const std::vector<NodeId>& order) {
   std::vector<uint64_t> record_bits(rows_.size());
   for (size_t n = 0; n < rows_.size(); ++n) {
-    record_bits[n] = rows_.ReadNewest(n).size_bits;
+    record_bits[n] = rows_[n].size_bits;
   }
   store_ = PagedStore(PageLayout(record_bits, order), buffer);
   network_store_ = network;
@@ -245,7 +227,7 @@ void SignatureIndex::AttachMergedStorage(BufferManager* buffer,
   std::vector<uint64_t> record_bits(rows_.size());
   for (NodeId n = 0; n < rows_.size(); ++n) {
     adjacency_bits_[n] = AdjacencyRecordBits(*graph_, n);
-    record_bits[n] = adjacency_bits_[n] + rows_.ReadNewest(n).size_bits;
+    record_bits[n] = adjacency_bits_[n] + rows_[n].size_bits;
   }
   store_ = PagedStore(PageLayout(record_bits, order), buffer);
   network_store_ = nullptr;
@@ -333,8 +315,7 @@ Status SignatureIndex::Verify() const {
   const simd::KernelTable& kernels = simd::Kernels();
   RowStage stage;
   for (NodeId n = 0; n < num_nodes; ++n) {
-    if (!codec_.TryDecodeRowStage(rows_.Read(n, snapshot.epoch()),
-                                  num_objects, &stage)) {
+    if (!codec_.TryDecodeRowStage(rows_[n], num_objects, &stage)) {
       return Status::Corruption("row of node " + std::to_string(n) +
                                 " does not decode");
     }
@@ -463,7 +444,7 @@ Status SignatureIndex::Verify() const {
 size_t SignatureIndex::ReplaceRow(NodeId n, const SignatureRow& row) {
   DSIG_CHECK_LT(n, rows_.size());
   DSIG_CHECK_EQ(row.size(), objects_.size());
-  const EncodedRow& old_encoded = rows_.ReadNewest(n);
+  EncodedRow& stored = rows_[n];
   EncodedRow new_encoded = codec_.EncodeRow(row);
   // Diff the two rows in resolved form so flag-only differences (same
   // category/link, different compression decision) do not count as changes.
@@ -472,7 +453,7 @@ size_t SignatureIndex::ReplaceRow(NodeId n, const SignatureRow& row) {
   RowStage old_row;
   RowStage new_row;
   size_t changed = row.size();
-  if (codec_.TryDecodeRowStage(old_encoded, objects_.size(), &old_row) &&
+  if (codec_.TryDecodeRowStage(stored, objects_.size(), &old_row) &&
       compressor_.TryResolveStage(&old_row)) {
     DSIG_CHECK(
         codec_.TryDecodeRowStage(new_encoded, objects_.size(), &new_row) &&
@@ -489,14 +470,8 @@ size_t SignatureIndex::ReplaceRow(NodeId n, const SignatureRow& row) {
 
   row_cache_->Erase(n);
   size_stats_.compressed_bits += new_encoded.size_bits;
-  size_stats_.compressed_bits -= old_encoded.size_bits;
-  // Copy-on-write publish: inside an UpdateGuard the new version carries the
-  // guard's publish epoch and stays invisible until the guard commits;
-  // quiesced callers (tests, tools) publish at the current epoch instead.
-  const uint64_t publish_epoch = gate_.ThisThreadHoldsWrite()
-                                     ? gate_.current_epoch() + 1
-                                     : gate_.current_epoch();
-  rows_.Publish(n, std::move(new_encoded), publish_epoch);
+  size_stats_.compressed_bits -= stored.size_bits;
+  stored = std::move(new_encoded);
   return changed;
 }
 

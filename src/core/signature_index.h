@@ -28,7 +28,6 @@
 #include "core/row_cache.h"
 #include "core/row_stage.h"
 #include "core/signature.h"
-#include "core/versioned_rows.h"
 #include "graph/road_network.h"
 #include "graph/spanning_tree.h"
 #include "storage/network_store.h"
@@ -85,20 +84,16 @@ class SignatureIndex {
 
   // Gate coordinating concurrent queries with the single live updater. Query
   // entry points hold a ReadSnapshot on it for their whole run (epoch.h);
-  // SignatureUpdater holds an UpdateGuard while mutating. Every row read
-  // below takes its own (re-entrant, cheap) snapshot, so plain callers stay
-  // correct too — an outer snapshot just widens the atomicity to the whole
-  // query.
+  // SignatureUpdater holds an UpdateGuard while it rewrites rows in place.
+  // Every row read below takes its own (re-entrant, cheap) snapshot, so
+  // plain callers stay correct too — an outer snapshot just widens the
+  // atomicity to the whole query.
   EpochGate* epoch_gate() const { return &gate_; }
 
-  // Frees retired row versions no pinned reader can still reach, and
-  // refreshes the update.epoch / update.epoch_lag / update.retired_bytes
-  // gauges. Called by the updater at the start of each exclusive section;
-  // safe to call from any quiesced context.
-  void ReclaimRetiredRows();
-
-  // Bytes held by retired-but-unreclaimed row versions.
-  uint64_t retired_row_bytes() const { return rows_.retired_bytes(); }
+  // Always 0: rows are overwritten in place while the updater holds the gate
+  // exclusively, so no superseded row outlives an update. Kept because the
+  // serving benchmark reports it as mem.retired_bytes.
+  uint64_t retired_row_bytes() const { return 0; }
 
   // --- Row access (all charge pages when storage is attached) -------------
 
@@ -155,7 +150,6 @@ class SignatureIndex {
   // lifetime once set; the instance itself is immutable apart from its
   // sticky stale latch, so queries read it without extra locking.
   const HubLabels* hub_labels() const { return labels_.get(); }
-  std::shared_ptr<HubLabels> shared_hub_labels() const { return labels_; }
 
   // Attaches (or replaces) the label tier. A fresh instance clears the
   // effect of any earlier InvalidateHubLabels. Quiesced callers only
@@ -205,12 +199,6 @@ class SignatureIndex {
   // node's cached row so the next read re-decodes.
   EncodedRow& mutable_encoded_row(NodeId n);
 
-  // Drops the cached rows of every listed node in one sweep. The updater
-  // calls this with the complete set of affected nodes *before* publishing
-  // any rewritten row, so a hot cache can never serve a resolution computed
-  // against the pre-update object table.
-  void InvalidateCachedRows(const std::vector<NodeId>& nodes);
-
   // --- Maintenance hooks (used by SignatureUpdater) ------------------------
 
   // Forest retained for updates; null when built with keep_forest = false.
@@ -225,15 +213,18 @@ class SignatureIndex {
   // Replaces node `n`'s row (already compressed by the caller), returning
   // how many resolved components differ from the previous row (every one,
   // when the previous row no longer decodes or resolves). Invalidates
-  // the page layout until AttachStorage is called again. Inside an
-  // UpdateGuard the new row is published copy-on-write at the guard's
-  // publish epoch (invisible to concurrent readers until the guard commits);
-  // outside one it publishes at the current epoch, immediately visible.
+  // the page layout until AttachStorage is called again. Overwrites the row
+  // in place, so the caller holds an UpdateGuard or runs with no concurrent
+  // reader.
   size_t ReplaceRow(NodeId n, const SignatureRow& row);
 
-  // Newest stored version of `n`'s row (quiesced callers: persistence,
-  // stats, cross-node analysis, the updater itself).
-  const EncodedRow& encoded_row(NodeId n) const { return rows_.ReadNewest(n); }
+  // Stored row of `n`, read without a snapshot: for persistence, stats,
+  // cross-node analysis and the updater itself, which run on the writer's
+  // thread or while no update is in flight.
+  const EncodedRow& encoded_row(NodeId n) const {
+    DSIG_CHECK_LT(n, rows_.size());
+    return rows_[n];
+  }
 
  private:
   // Decode-failure degradation: a row whose bits no longer decode or
@@ -250,9 +241,9 @@ class SignatureIndex {
   std::vector<ObjectId> object_of_node_;
   CategoryPartition partition_;
   SignatureCodec codec_;
-  // Epoch-versioned copy-on-write rows plus the reader/updater gate; see
-  // epoch.h for the snapshot-isolation protocol.
-  VersionedRowStore rows_;
+  // One encoded row per node, rewritten in place by ReplaceRow; the gate
+  // keeps readers out while that happens (epoch.h).
+  std::vector<EncodedRow> rows_;
   mutable EpochGate gate_;
   ObjectDistanceTable table_;
   RowCompressor compressor_;

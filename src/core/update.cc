@@ -40,7 +40,6 @@ SignatureUpdater::SignatureUpdater(RoadNetwork* graph, SignatureIndex* index)
 UpdateStats SignatureUpdater::AddEdge(NodeId u, NodeId v, Weight weight,
                                       EdgeId* edge_out) {
   const UpdateGuard guard(index_->epoch_gate());
-  index_->ReclaimRetiredRows();  // lazy: previous update's versions drained
   // Any network change invalidates the hub-label tier (sticky latch): labels
   // are built offline and cannot be maintained incrementally, so the planner
   // demotes exact distances to the chase/Dijkstra paths until a rebuild.
@@ -58,7 +57,6 @@ UpdateStats SignatureUpdater::AddEdge(NodeId u, NodeId v, Weight weight,
 
 UpdateStats SignatureUpdater::RemoveEdge(EdgeId edge) {
   const UpdateGuard guard(index_->epoch_gate());
-  index_->ReclaimRetiredRows();
   index_->InvalidateHubLabels();
   index_->DropFallbackRows();
   graph_->RemoveEdge(edge);
@@ -70,7 +68,6 @@ UpdateStats SignatureUpdater::RemoveEdge(EdgeId edge) {
 
 UpdateStats SignatureUpdater::SetEdgeWeight(EdgeId edge, Weight weight) {
   const UpdateGuard guard(index_->epoch_gate());
-  index_->ReclaimRetiredRows();
   index_->InvalidateHubLabels();
   index_->DropFallbackRows();
   const Weight old_weight = graph_->edge_weight(edge);
@@ -175,13 +172,9 @@ UpdateStats SignatureUpdater::ApplyTreeChanges(
   std::sort(nodes.begin(), nodes.end());
   nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
 
-  // Invalidate the caches for the *complete* affected set before publishing
-  // any rewritten row. ReplaceRow also erases per node as it goes, but doing
-  // it up front means no interleaving of this loop can leave a cached
-  // resolution (computed against the pre-update object table) alive after
-  // its row publishes.
-  index_->InvalidateCachedRows(nodes);
-
+  // ReplaceRow drops each rewritten node's cached resolution. No reader can
+  // cache a row computed against the pre-update object table meanwhile: the
+  // caller's UpdateGuard keeps every reader out until the loop is done.
   for (const NodeId n : nodes) {
     SignatureRow row =
         BuildRowFromForest(*graph_, forest, partition, n);

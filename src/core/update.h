@@ -2,10 +2,11 @@
 //
 // The updater owns the mutation protocol: it applies the edge change to the
 // RoadNetwork, lets the retained spanning forest repair itself (decrease ->
-// label-correcting relaxation; increase/removal -> reverse-indexed subtree
-// rebuild), refreshes affected object-object table entries, and finally
-// rewrites only the signature rows whose category or backtracking link
-// actually changed — the locality the paper's update argument rests on.
+// label-correcting relaxation; increase/removal -> subtree rebuild in each
+// object tree whose parent edges use the changed edge), refreshes affected
+// object-object table entries, and finally rewrites in place only the
+// signature rows whose category or backtracking link actually changed — the
+// locality the paper's update argument rests on.
 #ifndef DSIG_CORE_UPDATE_H_
 #define DSIG_CORE_UPDATE_H_
 
@@ -23,11 +24,12 @@ struct UpdateStats {
 };
 
 // Concurrency: each mutation runs inside an exclusive UpdateGuard on the
-// index's EpochGate, so it is safe to call while query threads are serving
-// (they hold ReadSnapshots) — but the updater itself is single-writer: do
-// not call two mutations concurrently. Durability is layered on top by
-// io/durable_index.h, which logs each mutation to a WAL before invoking it
-// here.
+// index's EpochGate, so it is safe to call while query threads are serving:
+// they hold ReadSnapshots, which wait while a mutation runs, so a query sees
+// the index before or after a mutation, never during one. The updater itself
+// is single-writer: do not call two mutations concurrently. Durability is
+// layered on top by io/durable_index.h, which logs each mutation to a WAL
+// before invoking it here.
 class SignatureUpdater {
  public:
   // `graph` must be the same network the index was built on, and the index

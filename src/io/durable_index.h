@@ -79,8 +79,10 @@ struct RecoverOptions {
 };
 
 // Single-writer durable façade over SignatureUpdater. Queries may run
-// concurrently with Apply (they snapshot via the index's EpochGate); a
-// second concurrent writer is not allowed.
+// concurrently with Apply: they hold the index's EpochGate shared, each
+// update holds it exclusively, so a query sees a whole update or none of it.
+// Checkpoints read the rows without the gate, which is safe because they run
+// on the writer's thread. A second concurrent writer is not allowed.
 class DurableUpdater {
  public:
   // Everything Recover() hands back: the reloaded network and index (owned),

@@ -37,7 +37,7 @@ std::vector<KnnResult> BatchKnnQuery(const SignatureIndex& index,
                                      size_t k, KnnResultType type,
                                      const BatchOptions& options) {
   // No batch-wide snapshot here, deliberately: each worker thread takes its
-  // own whole-query ReadSnapshot inside SignatureKnnQuery (pins are
+  // own whole-query ReadSnapshot inside SignatureKnnQuery (snapshots are
   // per-thread), so every individual query is atomic. Holding a shared lock
   // on this thread while workers also acquire it could deadlock against a
   // waiting writer on writer-preferring rwlock implementations.

@@ -1,9 +1,9 @@
 // Parallel batch-query driver.
 //
-// Each query pins its own read snapshot on the index's EpochGate (see
+// Each query holds its own read snapshot on the index's EpochGate (see
 // ARCHITECTURE.md, "Parallelism & thread-safety"), so independent queries
-// parallelize trivially even while a live updater runs — except for the op
-// counters, which are thread-local
+// parallelize trivially even next to a live updater, whose updates they wait
+// out — except for the op counters, which are thread-local
 // (obs/op_counters.h). RunBatch repairs that seam: every chunk of queries
 // snapshots its thread's counters before running, withdraws its delta after,
 // and the merged batch total is credited to the CALLER's thread exactly

@@ -14,8 +14,8 @@ namespace dsig {
 KnnResult SignatureKnnQuery(const SignatureIndex& index, NodeId n, size_t k,
                             KnnResultType type, bool refine) {
   DSIG_QUERY_TRACE("knn");
-  // One epoch for the whole query: the row read, every backtracking step and
-  // the final sort all see the same published index state.
+  // One snapshot for the whole query: the row read, every backtracking step
+  // and the final sort all see the same index state.
   const ReadSnapshot snapshot(index.epoch_gate());
   KnnResult result;
   if (k == 0) return result;

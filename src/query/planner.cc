@@ -112,24 +112,15 @@ void RoutedSortByDistance(const SignatureIndex& index, NodeId n,
   }
   const obs::Span span(obs::Phase::kSort);
   const ReadSnapshot snapshot(index.epoch_gate());
-  std::vector<uint32_t>& objs = *objects;
-  // Phase 1 is SortByDistance's approximate insertion sort, verbatim — the
-  // observer heuristic decides the order of objects the exact refinement
-  // later proves tied, so reproducing the final permutation bit for bit
-  // requires reproducing this pass bit for bit (same comparator, same
-  // deadline cadence).
-  for (size_t i = 1; i < objs.size(); ++i) {
-    if ((i & 15u) == 0 && DeadlineExpired()) return;
-    const uint32_t value = objs[i];
-    size_t j = i;
-    while (j > 0 && ApproximateCompare(index, n, value, objs[j - 1], stage) ==
-                        CompareResult::kLess) {
-      objs[j] = objs[j - 1];
-      --j;
-    }
-    objs[j] = value;
+  // Phase 1 is SortByDistance's own approximate pass — the observer
+  // heuristic decides the order of objects the exact refinement later
+  // proves tied, so the final permutation is bit-identical only because
+  // both sorts run this same pass.
+  if (!ApproximateSortByDistance(index, n, stage, objects) ||
+      DeadlineExpired()) {
+    return;
   }
-  if (DeadlineExpired()) return;
+  std::vector<uint32_t>& objs = *objects;
   // Phase 2: Algorithm 4's cursor refinement is a stable sort of that
   // permutation by exact distance (it swaps only strictly-greater adjacent
   // pairs). A stable sort keyed by label distances is therefore the same

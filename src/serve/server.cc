@@ -738,8 +738,8 @@ Response DsigServer::ExecuteUpdate(const Request& request) {
   record.weight = request.weight;
 
   // DurableUpdater is single-writer; connection threads serialize here.
-  // Queries are unaffected (epoch snapshots), which is the whole point of
-  // the PR 5 isolation work.
+  // Queries need no lock of their own: the index's EpochGate keeps each one
+  // entirely before or after every update.
   std::lock_guard<std::mutex> lock(update_mu_);
   StatusOr<UpdateStats> applied = deployment_.updater->Apply(record);
   if (!applied.ok()) {

@@ -33,8 +33,9 @@
 //
 // Threading: one accept thread plus one thread per connection. Concurrency
 // of actual work is bounded by admission, not by connection count — extra
-// connections queue (backpressure) or shed. Queries run under epoch
-// snapshots and may overlap updates freely (PR 5's isolation contract).
+// connections queue (backpressure) or shed. Queries hold the index's
+// EpochGate shared and updates hold it exclusively, so a query sees each
+// update whole or not at all.
 //
 // Shutdown: Stop() stops accepting, fails queued requests with
 // SHUTTING_DOWN, lets in-flight requests finish (for at most 5 s), then
