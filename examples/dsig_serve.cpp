@@ -4,8 +4,9 @@
 // admission control, deadlines, and graceful degradation (see
 // ARCHITECTURE.md, "Serving, overload & degradation"). The durable
 // deployment lives in --dir: a fresh directory gets a generated city +
-// Initialize; a directory with a MANIFEST is recovered (checkpoint +
-// committed WAL tail), which is what makes kill -9 survivable.
+// Initialize; a directory with a wal.log is recovered (the checkpoint its
+// header names + the committed WAL tail), which is what makes kill -9
+// survivable.
 //
 //   $ ./dsig_serve --dir=/tmp/dsig [--nodes=5000] [--seed=42] [--port=0]
 //                  [--port-file=PATH] [--checkpoint-interval=64]
@@ -115,7 +116,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<RoadNetwork> owned_graph;
   std::unique_ptr<SignatureIndex> owned_index;
   std::unique_ptr<DurableUpdater> updater;
-  if (std::filesystem::exists(DurableUpdater::ManifestPath(dir))) {
+  if (std::filesystem::exists(DurableUpdater::WalPath(dir))) {
     auto recovered = DurableUpdater::Recover(dir, durable);
     if (!recovered.ok()) {
       std::fprintf(stderr, "cannot recover %s: %s\n", dir.c_str(),

@@ -109,8 +109,8 @@ int main(int argc, char** argv) {
   RoadNetwork* roads = &city;
   for (int i = 0; i < 30 && g_signal == 0; ++i) {
     if (crash_after >= 0 && applied == crash_after && !crashed) {
-      // Power loss: every in-memory structure is gone. Only the WAL,
-      // checkpoints, and MANIFEST in `dir` survive.
+      // Crash: every in-memory structure is gone. Only the WAL and the
+      // checkpoint pair its header names survive in `dir`.
       live->reset();
       index.reset();
       std::printf("\n!! crash after %d updates — recovering from %s\n",

@@ -88,36 +88,38 @@ Status UpdateRecord::Validate() const {
   }
 }
 
-Status UpdateRecord::ApplyTo(RoadNetwork* graph) const {
+Status UpdateRecord::CheckApplicable(const RoadNetwork& graph) const {
   DSIG_RETURN_IF_ERROR(Validate());
+  if (op == kAddEdge) {
+    if (a >= graph.num_nodes() || b >= graph.num_nodes()) {
+      return Status::Corruption("logged AddEdge endpoint out of range");
+    }
+    return Status::Ok();
+  }
+  // kRemoveEdge or kSetEdgeWeight: Validate rejected every other op.
+  if (a >= graph.num_edge_slots()) {
+    return Status::Corruption("logged edge id out of range");
+  }
+  if (graph.edge_removed(a)) {
+    return Status::Corruption("logged op names a removed edge");
+  }
+  return Status::Ok();
+}
+
+Status UpdateRecord::ApplyTo(RoadNetwork* graph) const {
+  DSIG_RETURN_IF_ERROR(CheckApplicable(*graph));
   switch (op) {
     case kAddEdge:
-      if (a >= graph->num_nodes() || b >= graph->num_nodes()) {
-        return Status::Corruption("logged AddEdge endpoint out of range");
-      }
       graph->AddEdge(a, b, weight);
-      return Status::Ok();
+      break;
     case kRemoveEdge:
-      if (a >= graph->num_edge_slots()) {
-        return Status::Corruption("logged RemoveEdge id out of range");
-      }
-      if (graph->edge_removed(a)) {
-        return Status::Corruption("logged RemoveEdge hits a removed edge");
-      }
       graph->RemoveEdge(a);
-      return Status::Ok();
+      break;
     case kSetEdgeWeight:
-      if (a >= graph->num_edge_slots()) {
-        return Status::Corruption("logged SetEdgeWeight id out of range");
-      }
-      if (graph->edge_removed(a)) {
-        return Status::Corruption("logged SetEdgeWeight hits a removed edge");
-      }
       graph->SetEdgeWeight(a, weight);
-      return Status::Ok();
-    default:
-      return Status::Corruption("unknown update op " + std::to_string(op));
+      break;
   }
+  return Status::Ok();
 }
 
 Status UpdateLog::Create(const std::string& path, uint64_t base_seq,

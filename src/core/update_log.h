@@ -5,9 +5,9 @@
 // dies mid-rewrite. The durability protocol is the classic one: every
 // AddEdge/RemoveEdge/SetEdgeWeight is appended to this log (and optionally
 // fsync'd) *before* the in-memory index mutates, and periodic checkpoints
-// persist the full network+index with PR 1's atomic temp+rename saves, after
-// which the log restarts from the checkpoint's sequence number. Recovery
-// loads the newest checkpoint and replays the committed log tail.
+// persist the full network+index with atomic temp+rename saves, after which
+// the log restarts from the checkpoint's sequence number. Recovery loads the
+// checkpoint the log's header names and replays the committed log tail.
 //
 // On-disk format (little-endian, matching io/binary_io conventions):
 //
@@ -16,11 +16,12 @@
 //   record*  payload_len (u32) · crc32c(payload) (u32) · payload
 //   payload  op (u8) · a (u32) · b (u32) · weight (f64)
 //
-// Record i (0-based) carries implicit sequence number base_seq + i + 1, which
-// is how recovery stays idempotent: records with seq <= the checkpoint's seq
-// are skipped, so a crash between "manifest renamed" and "log rewritten"
-// never replays an AddEdge twice (which would allocate a duplicate EdgeId and
-// shift every later id).
+// Record i (0-based) carries implicit sequence number base_seq + i + 1. The
+// header is the commit record of the checkpoint at base_seq: a checkpoint
+// installs a fresh log by temp+rename, so a log never holds a record its
+// checkpoint already absorbed and recovery replays every committed record
+// (replaying an absorbed AddEdge would allocate a duplicate EdgeId and shift
+// every later id).
 //
 // Torn-tail policy (the crash-consistency contract, exercised byte-by-byte
 // by tests/update_chaos_test.cc): a record frame that runs past end-of-file,
@@ -80,9 +81,15 @@ struct UpdateRecord {
   // passes the CRC but fails this is corruption the checksum missed.
   Status Validate() const;
 
-  // Applies this record to `graph`. AddEdge allocates the next sequential
-  // EdgeId, so replaying the same record stream against the same starting
-  // graph reproduces edge ids exactly.
+  // Validate() plus the range checks against the *current* graph (endpoints
+  // exist, the edge id names a live edge) that a record must pass before it
+  // can mutate anything: SignatureUpdater's own preconditions are
+  // DSIG_CHECKs, not Statuses.
+  Status CheckApplicable(const RoadNetwork& graph) const;
+
+  // CheckApplicable, then applies this record to `graph`. AddEdge allocates
+  // the next sequential EdgeId, so replaying the same record stream against
+  // the same starting graph reproduces edge ids exactly.
   Status ApplyTo(RoadNetwork* graph) const;
 };
 

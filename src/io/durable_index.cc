@@ -1,132 +1,19 @@
 #include "io/durable_index.h"
 
-#include <unistd.h>
-
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <thread>
 
 #include "obs/metrics.h"
-#include "util/crc32c.h"
 #include "util/random.h"
 
 namespace dsig {
 namespace {
 
-// MANIFEST: magic "DSMF" (u32) · version (u32) · checkpoint seq (u64) ·
-// crc32c(preceding 16 bytes) (u32). Same 20-byte shape as the WAL header so
-// the corruption tests can reuse their sweeps.
-constexpr uint32_t kManifestMagic = 0x464D5344;  // "DSMF"
-constexpr uint32_t kManifestVersion = 1;
-constexpr size_t kManifestBytes = 4 + 4 + 8 + 4;
-
-void PutU32(uint8_t* out, uint32_t v) {
-  out[0] = static_cast<uint8_t>(v);
-  out[1] = static_cast<uint8_t>(v >> 8);
-  out[2] = static_cast<uint8_t>(v >> 16);
-  out[3] = static_cast<uint8_t>(v >> 24);
-}
-
-void PutU64(uint8_t* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out[i] = static_cast<uint8_t>(v >> (8 * i));
-}
-
-uint32_t GetU32(const uint8_t* in) {
-  return static_cast<uint32_t>(in[0]) | static_cast<uint32_t>(in[1]) << 8 |
-         static_cast<uint32_t>(in[2]) << 16 |
-         static_cast<uint32_t>(in[3]) << 24;
-}
-
-uint64_t GetU64(const uint8_t* in) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = v << 8 | in[i];
-  return v;
-}
-
-// Writes the manifest via temp+fsync+rename, with the same crash semantics
-// as UpdateLog::Create: bytes strictly before faults.fail_at reach the temp
-// file, and a triggered fault aborts before the rename, so the previous
-// manifest stays authoritative.
-Status WriteManifest(const std::string& path, uint64_t seq,
-                     const WriteFaultPlan& faults) {
-  uint8_t bytes[kManifestBytes];
-  PutU32(bytes, kManifestMagic);
-  PutU32(bytes + 4, kManifestVersion);
-  PutU64(bytes + 8, seq);
-  PutU32(bytes + 16, Crc32c(bytes, 16));
-
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return Status::IoError("cannot create " + tmp);
-  const size_t writable =
-      faults.fail_at < kManifestBytes ? faults.fail_at : kManifestBytes;
-  const bool crashed = writable < kManifestBytes;
-  if (writable > 0 && std::fwrite(bytes, 1, writable, f) != writable) {
-    std::fclose(f);
-    return Status::IoError("short write to " + tmp);
-  }
-  if (std::fflush(f) != 0 || fsync(fileno(f)) != 0) {
-    std::fclose(f);
-    return Status::IoError("flush/fsync failed for " + tmp);
-  }
-  std::fclose(f);
-  if (crashed) {
-    return Status::IoError("injected crash while writing manifest " + path);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IoError("rename failed for " + path);
-  }
-  return Status::Ok();
-}
-
-StatusOr<uint64_t> ReadManifest(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::NotFound("no manifest at " + path);
-  uint8_t bytes[kManifestBytes];
-  const size_t got = std::fread(bytes, 1, kManifestBytes, f);
-  std::fclose(f);
-  if (got != kManifestBytes) {
-    return Status::Corruption("manifest " + path + " is truncated");
-  }
-  if (GetU32(bytes) != kManifestMagic) {
-    return Status::Corruption("manifest " + path + " has wrong magic");
-  }
-  if (GetU32(bytes + 4) != kManifestVersion) {
-    return Status::Corruption("manifest " + path +
-                              " has unsupported version " +
-                              std::to_string(GetU32(bytes + 4)));
-  }
-  if (GetU32(bytes + 16) != Crc32c(bytes, 16)) {
-    return Status::Corruption("manifest " + path + " checksum mismatch");
-  }
-  return GetU64(bytes + 8);
-}
-
-// Range checks a record must pass against the *current* graph before it can
-// go through SignatureUpdater (whose preconditions are DSIG_CHECKs, not
-// Statuses). Mirrors UpdateRecord::ApplyTo without mutating.
-Status CheckApplicable(const RoadNetwork& graph, const UpdateRecord& record) {
-  DSIG_RETURN_IF_ERROR(record.Validate());
-  switch (record.op) {
-    case UpdateRecord::kAddEdge:
-      if (record.a >= graph.num_nodes() || record.b >= graph.num_nodes()) {
-        return Status::Corruption("logged AddEdge endpoint out of range");
-      }
-      return Status::Ok();
-    case UpdateRecord::kRemoveEdge:
-    case UpdateRecord::kSetEdgeWeight:
-      if (record.a >= graph.num_edge_slots()) {
-        return Status::Corruption("logged edge id out of range");
-      }
-      if (graph.edge_removed(record.a)) {
-        return Status::Corruption("logged op names a removed edge");
-      }
-      return Status::Ok();
-  }
-  return Status::Corruption("unknown update op");
-}
+// Base of the checkpoint retry backoff, doubled per attempt and jittered
+// ±50% from a fixed seed, so retry timing is reproducible run to run.
+constexpr double kCkptRetryBackoffMs = 2;
 
 obs::Counter* CheckpointCounter() {
   static obs::Counter* const c =
@@ -142,9 +29,6 @@ obs::Counter* CheckpointRetryCounter() {
 
 }  // namespace
 
-std::string DurableUpdater::ManifestPath(const std::string& dir) {
-  return dir + "/MANIFEST";
-}
 std::string DurableUpdater::WalPath(const std::string& dir) {
   return dir + "/wal.log";
 }
@@ -178,17 +62,14 @@ Status DurableUpdater::OpenWal() {
 StatusOr<std::unique_ptr<DurableUpdater>> DurableUpdater::Initialize(
     const std::string& dir, RoadNetwork* graph, SignatureIndex* index,
     const DurableOptions& options) {
-  // Checkpoint pair first, WAL second, MANIFEST last: the rename is the
-  // commit point, so a crash anywhere earlier leaves no readable deployment
-  // (and never clobbers an existing one's MANIFEST).
+  // Checkpoint pair first, WAL last: the WAL's rename is the commit point,
+  // so a crash anywhere earlier leaves no readable deployment.
   const SaveOptions save{options.checkpoint_faults};
   DSIG_RETURN_IF_ERROR(
       SaveRoadNetwork(*graph, NetworkCheckpointPath(dir, 0), save));
   DSIG_RETURN_IF_ERROR(
       SaveSignatureIndex(*index, IndexCheckpointPath(dir, 0), save));
   DSIG_RETURN_IF_ERROR(UpdateLog::Create(WalPath(dir), 0, options.wal_faults));
-  DSIG_RETURN_IF_ERROR(
-      WriteManifest(ManifestPath(dir), 0, options.checkpoint_faults));
 
   std::unique_ptr<DurableUpdater> updater(
       new DurableUpdater(dir, graph, index, options));
@@ -199,9 +80,11 @@ StatusOr<std::unique_ptr<DurableUpdater>> DurableUpdater::Initialize(
 StatusOr<DurableUpdater::Recovered> DurableUpdater::Recover(
     const std::string& dir, const DurableOptions& options,
     const RecoverOptions& recover) {
-  auto seq = ReadManifest(ManifestPath(dir));
-  if (!seq.ok()) return seq.status();
-  const uint64_t checkpoint_seq = seq.value();
+  // The WAL header names the checkpoint the log extends; scan the committed
+  // tail before touching anything else.
+  auto replay = UpdateLog::Replay(WalPath(dir));
+  if (!replay.ok()) return replay.status();
+  const uint64_t checkpoint_seq = replay->base_seq;
 
   Recovered result;
   auto graph = LoadRoadNetwork(NetworkCheckpointPath(dir, checkpoint_seq));
@@ -214,35 +97,18 @@ StatusOr<DurableUpdater::Recovered> DurableUpdater::Recover(
   // Checkpoints do not persist the spanning forest; replay needs it.
   result.index->RebuildForest();
 
-  // Scan the committed WAL tail before touching anything. A log whose
-  // base_seq is *behind* the manifest is the legal crash window between
-  // "MANIFEST renamed" and "WAL restarted"; one *ahead* of it means the
-  // manifest regressed, which no crash can produce.
-  auto replay = UpdateLog::Replay(WalPath(dir), recover.wal_faults);
-  if (!replay.ok()) return replay.status();
-  if (replay->base_seq > checkpoint_seq) {
-    return Status::Corruption(
-        "wal base_seq " + std::to_string(replay->base_seq) +
-        " is ahead of manifest seq " + std::to_string(checkpoint_seq));
-  }
-
   result.updater.reset(
       new DurableUpdater(dir, result.graph.get(), result.index.get(), options));
   result.updater->checkpoint_seq_ = checkpoint_seq;
   DSIG_RETURN_IF_ERROR(result.updater->OpenWal());
 
-  // Re-apply the committed records the checkpoint has not yet absorbed.
-  // seq <= checkpoint_seq records were already folded into the loaded state;
-  // replaying an AddEdge among them would allocate a duplicate EdgeId.
-  auto& registry = obs::MetricsRegistry::Global();
-  for (size_t i = 0; i < replay->records.size(); ++i) {
-    const uint64_t record_seq = replay->base_seq + i + 1;
-    if (record_seq <= checkpoint_seq) continue;
-    const UpdateRecord& record = replay->records[i];
-    DSIG_RETURN_IF_ERROR(CheckApplicable(*result.graph, record));
+  // Every committed record postdates the checkpoint: re-apply them all.
+  for (const UpdateRecord& record : replay->records) {
+    DSIG_RETURN_IF_ERROR(record.CheckApplicable(*result.graph));
     result.updater->updater_.Apply(record);
-    ++result.replayed_records;
   }
+  result.replayed_records = replay->records.size();
+  auto& registry = obs::MetricsRegistry::Global();
   registry.GetCounter("wal.recoveries")->Add(1);
   registry.GetCounter("wal.replayed_records")->Add(result.replayed_records);
 
@@ -255,9 +121,8 @@ uint64_t DurableUpdater::next_seq() const {
 }
 
 uint64_t DurableUpdater::records_since_checkpoint() const {
-  if (wal_ == nullptr) return 0;
-  const uint64_t applied = wal_->base_seq() + wal_->record_count();
-  return applied > checkpoint_seq_ ? applied - checkpoint_seq_ : 0;
+  // The open log always extends the live checkpoint.
+  return wal_ == nullptr ? 0 : wal_->record_count();
 }
 
 StatusOr<UpdateStats> DurableUpdater::Apply(const UpdateRecord& record) {
@@ -268,7 +133,7 @@ StatusOr<UpdateStats> DurableUpdater::Apply(const UpdateRecord& record) {
   // Reject malformed records before they reach the log: a record that could
   // not replay must never be written.
   {
-    const Status applicable = CheckApplicable(*graph_, record);
+    const Status applicable = record.CheckApplicable(*graph_);
     if (!applicable.ok()) {
       return Status::InvalidArgument("rejected update: " +
                                      applicable.message());
@@ -309,12 +174,13 @@ Status DurableUpdater::Checkpoint() {
   DSIG_RETURN_IF_ERROR(wal_->Sync());
   const uint64_t seq = wal_->base_seq() + wal_->record_count();
 
-  // Failures before the MANIFEST rename leave the previous checkpoint + full
-  // WAL authoritative: report, don't latch — and, being non-sticky, they are
-  // safely retryable. Each save is all-or-nothing (temp + rename), so a
-  // retry never sees a partial file from the previous attempt.
+  // Until the new WAL's rename, the previous checkpoint + the still-open
+  // old log stay authoritative: failures are reported, not latched, and are
+  // safely retryable. Each step is all-or-nothing (temp + rename), so a
+  // retry never sees a partial file from the previous attempt, and a pair
+  // orphaned by a failed attempt is overwritten by the next one at `seq`.
   WriteFaultPlan faults = options_.checkpoint_faults;
-  Random jitter(options_.ckpt_retry_jitter_seed);
+  Random jitter(1);
   for (int attempt = 0;; ++attempt) {
     Status saved = SaveRoadNetwork(*graph_, NetworkCheckpointPath(dir_, seq),
                                    SaveOptions{faults});
@@ -323,43 +189,36 @@ Status DurableUpdater::Checkpoint() {
                                  SaveOptions{faults});
     }
     if (saved.ok()) {
-      saved = WriteManifest(ManifestPath(dir_), seq, faults);
+      saved = UpdateLog::Create(WalPath(dir_), seq, options_.wal_faults);
     }
     if (saved.ok()) break;
     if (attempt >= options_.ckpt_retries) return saved;
     CheckpointRetryCounter()->Add(1);
     if (options_.checkpoint_faults_transient) faults = WriteFaultPlan{};
-    // Exponential backoff with ±50% jitter, deterministic under the seed.
-    const double backoff_ms = options_.ckpt_retry_backoff_ms *
+    const double backoff_ms = kCkptRetryBackoffMs *
                               std::pow(2.0, static_cast<double>(attempt)) *
                               jitter.NextDouble(0.5, 1.5);
     std::this_thread::sleep_for(
         std::chrono::duration<double, std::milli>(backoff_ms));
   }
 
+  // Committed: the new log names the new pair. Move appends to it.
   const uint64_t old_seq = checkpoint_seq_;
   checkpoint_seq_ = seq;
   CheckpointCounter()->Add(1);
-
-  // Restart the WAL at the committed seq. A crash (or injected fault) here
-  // is the protocol's designed window: the old log survives the failed
-  // atomic Create, and recovery seq-skips its absorbed prefix. If the
-  // restart fails but the old log reopens, appends simply continue there.
   wal_->Close();
   wal_.reset();
-  const Status recreated =
-      UpdateLog::Create(WalPath(dir_), seq, options_.wal_faults);
   const Status reopened = OpenWal();
   if (!reopened.ok()) {
     // No appendable log at all: nothing further can be made durable.
     status_ = reopened;
     return status_;
   }
-  if (old_seq != checkpoint_seq_) {
+  if (old_seq != seq) {
     std::remove(NetworkCheckpointPath(dir_, old_seq).c_str());
     std::remove(IndexCheckpointPath(dir_, old_seq).c_str());
   }
-  return recreated;
+  return Status::Ok();
 }
 
 Status DurableUpdater::Close() {

@@ -8,22 +8,20 @@
 //              then mutate the index through SignatureUpdater.
 //   checkpoint persist network.<seq>.ckpt + index.<seq>.ckpt with the atomic
 //              temp+rename saves from persistence.h, commit them by renaming
-//              MANIFEST (which names seq), then restart the WAL at base_seq =
-//              seq and delete the superseded checkpoint pair.
-//   recover    read MANIFEST, load the checkpoint pair it names, rebuild the
-//              spanning forest, replay the WAL's committed tail skipping
-//              records with seq <= the manifest's (a crash between "MANIFEST
-//              renamed" and "WAL restarted" leaves already-checkpointed
-//              records in the old log; replaying an AddEdge twice would
-//              allocate a duplicate EdgeId).
+//              a fresh WAL with base_seq = seq over wal.log, then move
+//              appends to it and delete the superseded checkpoint pair.
+//   recover    read the WAL header, load the checkpoint pair its base_seq
+//              names, rebuild the spanning forest and replay every committed
+//              record.
 //
-// The MANIFEST rename is the commit point of every checkpoint; a crash at
-// any byte of the protocol recovers to either the old checkpoint + full log
-// or the new checkpoint + (possibly stale but seq-skipped) log. Failure
-// handling mirrors UpdateLog: WAL-side errors are sticky (an update whose
-// log record may not be durable must not be applied), while a failed
-// checkpoint leaves the previous checkpoint + log fully valid and is
-// reported but not latched.
+// The WAL header is the only commit record: the rename that installs a new
+// log is the commit point of every checkpoint, so the log and the pair it
+// names change together. A crash at any byte of the protocol recovers to
+// either the old checkpoint + full old log or the new checkpoint + new log.
+// Failure handling mirrors UpdateLog: WAL-side errors are sticky (an update
+// whose log record may not be durable must not be applied), while a
+// checkpoint that fails before the rename leaves the previous checkpoint +
+// log fully valid and is reported but not latched.
 #ifndef DSIG_IO_DURABLE_INDEX_H_
 #define DSIG_IO_DURABLE_INDEX_H_
 
@@ -50,20 +48,20 @@ struct DurableOptions {
   uint64_t checkpoint_interval = 0;
 
   // Deterministic crash injection, keyed on absolute WAL byte offsets
-  // (update_log.h). Applies to WAL appends and WAL re-creation.
+  // (update_log.h). Applies to WAL appends and WAL creation.
   WriteFaultPlan wal_faults;
 
-  // Crash injection for the checkpoint saves (network/index/manifest).
+  // Crash injection for the checkpoint saves (network/index). The WAL
+  // header that commits them is written under wal_faults.
   WriteFaultPlan checkpoint_faults;
 
-  // Non-sticky checkpoint failures (any step before the MANIFEST rename —
-  // the old checkpoint + WAL are still fully authoritative) are retried up
-  // to this many more times with exponential backoff before Checkpoint()
-  // reports the error. Retries count update.ckpt_retries. Sticky failures
-  // (WAL restart) are never retried: the failed state is already latched.
+  // Non-sticky checkpoint failures (any step up to and including the new
+  // WAL's creation — the old checkpoint + WAL are still fully authoritative)
+  // are retried up to this many more times, with a 2 ms backoff doubled per
+  // attempt and jittered ±50%, before Checkpoint() reports the error.
+  // Retries count update.ckpt_retries. A failure to open the committed log
+  // is sticky and never retried: the failed state is already latched.
   int ckpt_retries = 0;
-  double ckpt_retry_backoff_ms = 2;  // doubled per attempt, jittered ±50%
-  uint64_t ckpt_retry_jitter_seed = 1;
 
   // Test seam modelling *transient* I/O errors: when true, checkpoint_faults
   // fires on the first save attempt only and retries run fault-free.
@@ -73,9 +71,6 @@ struct DurableOptions {
 struct RecoverOptions {
   // Run SignatureIndex::Verify() on the recovered index.
   bool verify = false;
-
-  // Fault injection for the WAL scan (corruption sweeps).
-  ReadFaultPlan wal_faults;
 };
 
 // Single-writer durable façade over SignatureUpdater. Queries may run
@@ -95,10 +90,10 @@ class DurableUpdater {
   };
 
   // Lays out a fresh durable directory for an in-memory pair (which the
-  // caller keeps owning): checkpoint files at seq 0, an empty WAL, and the
-  // MANIFEST committing them. `dir` must already exist. Fails without
-  // touching MANIFEST if any step fails, so an existing deployment is never
-  // half-overwritten.
+  // caller keeps owning): checkpoint files at seq 0, then the empty WAL
+  // whose header commits them. `dir` must already exist and hold no
+  // deployment: Initialize overwrites whatever wal.log and seq-0 pair it
+  // finds there.
   static StatusOr<std::unique_ptr<DurableUpdater>> Initialize(
       const std::string& dir, RoadNetwork* graph, SignatureIndex* index,
       const DurableOptions& options = {});
@@ -131,9 +126,10 @@ class DurableUpdater {
   }
 
   // Persists the current state and restarts the WAL. Callable any time the
-  // writer is quiesced. A failure before the MANIFEST rename leaves the old
-  // checkpoint + WAL fully authoritative (not sticky); a failure after it
-  // (WAL restart) is sticky, because the next Apply could not be logged.
+  // writer is quiesced. A failure up to the new WAL's rename leaves the old
+  // checkpoint + WAL fully authoritative (not sticky); failing to open the
+  // committed log after it is sticky, because the next Apply could not be
+  // logged.
   Status Checkpoint();
 
   // Flushes and closes the WAL (idempotent). Further Applies refuse.
@@ -147,7 +143,6 @@ class DurableUpdater {
   const std::string& dir() const { return dir_; }
 
   // File-name helpers, shared with tests and the chaos tool.
-  static std::string ManifestPath(const std::string& dir);
   static std::string WalPath(const std::string& dir);
   static std::string NetworkCheckpointPath(const std::string& dir,
                                            uint64_t seq);
@@ -166,7 +161,7 @@ class DurableUpdater {
   SignatureUpdater updater_;
   std::unique_ptr<UpdateLog> wal_;
   Status status_;
-  uint64_t checkpoint_seq_ = 0;  // seq committed by the live MANIFEST
+  uint64_t checkpoint_seq_ = 0;  // base_seq of the live WAL
   bool closed_ = false;
 };
 

@@ -1,5 +1,5 @@
 // Bounded retry for non-sticky checkpoint failures (DurableOptions::
-// ckpt_retries). A checkpoint that fails before the MANIFEST rename leaves
+// ckpt_retries). A checkpoint that fails before the new WAL's rename leaves
 // the old checkpoint + WAL fully authoritative, so retrying it is always
 // safe; the checkpoint_faults_transient seam models an I/O error that
 // clears on retry.
@@ -61,7 +61,6 @@ TEST(CkptRetryTest, TransientFaultRetriesToSuccess) {
   options.checkpoint_faults.fail_at = 0;  // first save attempt dies at byte 0
   options.checkpoint_faults_transient = true;
   options.ckpt_retries = 2;
-  options.ckpt_retry_backoff_ms = 0.1;
   Deployment d = MakeDeployment("ckpt_retry_transient", options);
   DurableUpdater& updater = *d.live.updater;
 
@@ -89,7 +88,6 @@ TEST(CkptRetryTest, PersistentFaultReportsAfterBoundedRetries) {
   options.checkpoint_faults.fail_at = 0;
   options.checkpoint_faults_transient = false;  // every attempt fails
   options.ckpt_retries = 1;
-  options.ckpt_retry_backoff_ms = 0.1;
   Deployment d = MakeDeployment("ckpt_retry_persistent", options);
   DurableUpdater& updater = *d.live.updater;
 

@@ -209,7 +209,7 @@ TEST(CorruptionFuzzTest, WriteFailuresNeverLeaveAFile) {
   EXPECT_TRUE(LoadSignatureIndex(c.graph, path).ok());
 }
 
-// --- WAL / MANIFEST sweeps -------------------------------------------------
+// --- WAL sweeps -------------------------------------------------------------
 //
 // The update log has a weaker contract than the snapshot files: a damaged
 // tail is EXPECTED after a crash, so replay may legitimately succeed with a
@@ -304,11 +304,12 @@ TEST(CorruptionFuzzTest, EveryTruncationOfTheWalReplaysTheCommittedPrefix) {
   }
 }
 
-TEST(CorruptionFuzzTest, EveryByteFlipOfTheManifestFailsRecovery) {
-  // The MANIFEST is the commit point of a checkpoint, so unlike the WAL it
+TEST(CorruptionFuzzTest, EveryByteFlipOfTheWalHeaderFailsRecovery) {
+  // The WAL header names the checkpoint the log extends, which makes it the
+  // commit record of every checkpoint. So unlike the frames after it, it
   // gets the strict treatment: any damaged byte must refuse recovery with a
   // typed error rather than load from a wrong (or imaginary) checkpoint.
-  const std::string dir = TempPath("fuzz_manifest");
+  const std::string dir = TempPath("fuzz_wal_header");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   RoadNetwork graph = MakeRandomPlanar({.num_nodes = 40, .seed = 9});
@@ -317,41 +318,43 @@ TEST(CorruptionFuzzTest, EveryByteFlipOfTheManifestFailsRecovery) {
                                    {.t = 5, .c = 2, .keep_forest = true});
   auto live = DurableUpdater::Initialize(dir, &graph, index.get(), {});
   ASSERT_TRUE(live.ok());
+  ASSERT_TRUE((*live)->AddEdge(1, 7, 3.0).ok());
   ASSERT_TRUE((*live)->Close().ok());
 
-  const std::string manifest = DurableUpdater::ManifestPath(dir);
-  std::FILE* f = std::fopen(manifest.c_str(), "rb");
+  const std::string wal = DurableUpdater::WalPath(dir);
+  std::FILE* f = std::fopen(wal.c_str(), "rb");
   ASSERT_NE(f, nullptr);
-  std::vector<uint8_t> pristine(64);
-  const size_t bytes = std::fread(pristine.data(), 1, pristine.size(), f);
+  std::vector<uint8_t> pristine(FileSize(wal));
+  ASSERT_EQ(std::fread(pristine.data(), 1, pristine.size(), f),
+            pristine.size());
   std::fclose(f);
-  pristine.resize(bytes);
-  ASSERT_GT(bytes, 0u);
+  ASSERT_GT(pristine.size(), UpdateLog::kHeaderBytes);
 
   Random rng(8);
-  for (size_t offset = 0; offset < pristine.size(); ++offset) {
+  for (size_t offset = 0; offset < UpdateLog::kHeaderBytes; ++offset) {
     std::vector<uint8_t> smashed = pristine;
     smashed[offset] ^= static_cast<uint8_t>(1u << rng.NextUint64(8));
-    f = std::fopen(manifest.c_str(), "wb");
+    f = std::fopen(wal.c_str(), "wb");
     ASSERT_NE(f, nullptr);
     ASSERT_EQ(std::fwrite(smashed.data(), 1, smashed.size(), f),
               smashed.size());
     std::fclose(f);
     const auto recovered = DurableUpdater::Recover(dir, {}, {});
-    ASSERT_FALSE(recovered.ok()) << "recovery survived manifest flip at byte "
+    ASSERT_FALSE(recovered.ok()) << "recovery survived header flip at byte "
                                  << offset;
     EXPECT_EQ(recovered.status().code(), StatusCode::kCorruption)
         << "offset " << offset << ": " << recovered.status().ToString();
   }
 
   // Restore and prove the setup itself was sound.
-  f = std::fopen(manifest.c_str(), "wb");
+  f = std::fopen(wal.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   ASSERT_EQ(std::fwrite(pristine.data(), 1, pristine.size(), f),
             pristine.size());
   std::fclose(f);
   auto recovered = DurableUpdater::Recover(dir, {}, {});
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->replayed_records, 1u);
   std::filesystem::remove_all(dir);
 }
 

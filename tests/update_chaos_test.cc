@@ -205,13 +205,14 @@ TEST(UpdateChaosTest, CleanShutdownRecoversAndCheckpointTruncates) {
   EXPECT_EQ(again->index->hub_labels(), nullptr);
 }
 
-// The designed crash window: MANIFEST committed the new checkpoint but the
-// process died before the WAL restart, leaving the previous generation's
-// log (whose records the checkpoint already absorbed). Recovery must
-// seq-skip them — replaying an AddEdge would allocate a duplicate EdgeId.
-TEST(UpdateChaosTest, CrashBetweenManifestRenameAndWalRestartSeqSkips) {
+// The one crash window a checkpoint has: the new pair is saved but the
+// process died before the new WAL's rename. The old log still names the old
+// pair, so recovery replays all of it; the new pair is an orphan that the
+// next checkpoint at the same seq overwrites.
+TEST(UpdateChaosTest, CrashBeforeWalRenameReplaysTheOldLog) {
   const ChaosCorpus corpus = MakeChaosCorpus();
   const std::string dir = TempDir("chaos_window");
+  const std::string aside = TempDir("chaos_window_aside");
   RoadNetwork g = MakeChaosGraph();
   auto index = BuildSignatureIndex(g, corpus.objects, {.t = 5, .c = 2});
 
@@ -220,28 +221,59 @@ TEST(UpdateChaosTest, CrashBetweenManifestRenameAndWalRestartSeqSkips) {
   for (const UpdateRecord& record : corpus.script) {
     ASSERT_TRUE((*live)->Apply(record).ok());
   }
-  // Snapshot the pre-checkpoint log, checkpoint, then put the old log back:
-  // byte-identical to dying right after the MANIFEST rename.
-  const std::string wal = DurableUpdater::WalPath(dir);
-  const std::string stale = wal + ".stale";
-  std::filesystem::copy_file(wal, stale);
+  // Copy the log and the seq-0 pair aside, checkpoint, then put the copies
+  // back: byte-identical to dying just before the new WAL's rename.
+  const std::vector<std::string> old_files = {
+      DurableUpdater::WalPath(dir),
+      DurableUpdater::NetworkCheckpointPath(dir, 0),
+      DurableUpdater::IndexCheckpointPath(dir, 0)};
+  for (const std::string& file : old_files) {
+    std::filesystem::copy_file(
+        file, aside / std::filesystem::path(file).filename());
+  }
   ASSERT_TRUE((*live)->Checkpoint().ok());
   (*live)->Close();
   live->reset();
   index.reset();
-  std::filesystem::rename(stale, wal);
+  for (const std::string& file : old_files) {
+    std::filesystem::copy_file(
+        aside / std::filesystem::path(file).filename(), file,
+        std::filesystem::copy_options::overwrite_existing);
+  }
+  const uint64_t seq = corpus.script.size();
+  ASSERT_TRUE(std::filesystem::exists(
+      DurableUpdater::NetworkCheckpointPath(dir, seq)));  // the orphan
 
   RecoverOptions verify_opts;
   verify_opts.verify = true;
   auto recovered = DurableUpdater::Recover(dir, {}, verify_opts);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
-  EXPECT_EQ(recovered->replayed_records, 0u);  // all absorbed, all skipped
+  EXPECT_EQ(recovered->updater->checkpoint_seq(), 0u);
+  EXPECT_EQ(recovered->replayed_records, corpus.script.size());
   ExpectIndexMatchesRebuild(*recovered->graph, corpus.objects,
                             *recovered->index);
 
-  // And the stale log is still appendable: new updates get fresh seqs.
+  // A checkpoint from here commits at the same seq over the orphan and
+  // deletes the seq-0 pair; the next recovery replays only what follows it.
+  ASSERT_TRUE(recovered->updater->Checkpoint().ok());
+  EXPECT_EQ(recovered->updater->checkpoint_seq(), seq);
   ASSERT_TRUE(recovered->updater->AddEdge(0, 7, 3).ok());
-  EXPECT_EQ(recovered->updater->next_seq(), corpus.script.size() + 2);
+  recovered->updater->Close();
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.push_back(entry.path().filename().string());
+  }
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{
+                       "index." + std::to_string(seq) + ".ckpt",
+                       "network." + std::to_string(seq) + ".ckpt",
+                       "wal.log"}));
+
+  auto again = DurableUpdater::Recover(dir, {}, verify_opts);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again->updater->checkpoint_seq(), seq);
+  EXPECT_EQ(again->replayed_records, 1u);
+  ExpectIndexMatchesRebuild(*again->graph, corpus.objects, *again->index);
 }
 
 TEST(UpdateChaosTest, AutoCheckpointFiresOnInterval) {
