@@ -403,7 +403,6 @@ int Stats(const Flags& flags) {
     }
   }
   PublishOpCounters();
-  obs::PublishBufferPoolMetrics();
   obs::PublishThreadPoolMetrics();
   PublishRowCacheMetrics();
   obs::PublishSimdMetrics();

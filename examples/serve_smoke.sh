@@ -81,10 +81,6 @@ max_acked_seq=$(scrape "$WORK/loadgen_a.log" max_acked_seq)
 [ "$protocol_errors" -eq 0 ] || fail "leg A protocol_errors=$protocol_errors"
 [ "$max_acked_seq" -gt 0 ] || fail "leg A acked no updates"
 [ -s "$WORK/serve_report.json" ] || fail "loadgen wrote no report"
-# The loadgen cross-checked its client-side p99 against the server's
-# windowed view; the report must carry that consistency probe.
-grep -q '"server_stats_ok": 1' "$WORK/serve_report.json" \
-  || fail "loadgen report has no server-side stats (p99 consistency probe)"
 
 kill -9 "$SERVER_PID" 2>/dev/null || fail "server A already gone before kill -9"
 wait "$SERVER_PID" 2>/dev/null

@@ -53,22 +53,20 @@ struct GridCostModel {
   Optimum PaperOptimum() const;
 };
 
-// Cost model for routing one exact point-to-point distance between the
-// hub-label tier, signature link-chasing, and bounded Dijkstra (the
-// query planner, query/planner.h). Same spirit as the §5.1 model above:
-// relative units where one label-merge lane comparison costs 1.
+// Cost model for routing one exact node-to-object distance between the
+// hub-label tier and signature link-chasing (the query planner,
+// query/planner.h). Same spirit as the §5.1 model above: relative units
+// where one label-merge lane comparison costs 1.
 //
 // A label merge touches |L(u)| + |L(v)| ~ 2·avg_label_entries lanes. A
 // chase covers the expected distance one edge at a time — expected hops ~
 // distance / mean edge weight — and every hop decodes one signature
 // component and touches one adjacency page, orders of magnitude above a
-// lane. A bounded Dijkstra settles every node within the distance; the
-// §5.1 grid estimate (GridNodesWithinRadius) prices that frontier.
+// lane.
 struct ExactRouteCostModel {
   double avg_label_entries = 0;  // mean |L(v)| of the built labels
   double mean_edge_weight = 1;   // mean live-edge weight of the network
   double chase_hop_cost = 64;    // one decode + adjacency touch, in lanes
-  double dijkstra_node_cost = 32;  // one settle + heap traffic, in lanes
 
   double LabelCost() const { return 2 * avg_label_entries; }
 
@@ -76,13 +74,6 @@ struct ExactRouteCostModel {
     const double hops =
         mean_edge_weight > 0 ? expected_distance / mean_edge_weight : 1;
     return (hops < 1 ? 1 : hops) * chase_hop_cost;
-  }
-
-  double DijkstraCost(double expected_distance) const {
-    const double radius =
-        mean_edge_weight > 0 ? expected_distance / mean_edge_weight : 1;
-    return (1 + GridNodesWithinRadius(radius < 1 ? 1 : radius)) *
-           dijkstra_node_cost;
   }
 };
 

@@ -105,7 +105,7 @@ class RowCache {
 
 // Refreshes the derived "rowcache.hit_rate" gauge (hits / (hits + misses),
 // 0 when idle) from the registry counters. Called by `dsig_tool stats` and
-// the benches next to PublishBufferPoolMetrics().
+// bench_knn.
 void PublishRowCacheMetrics();
 
 }  // namespace dsig

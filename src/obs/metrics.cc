@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "obs/json.h"
-#include "obs/window.h"
 #include "util/thread_pool.h"
 
 namespace dsig {
@@ -171,11 +170,6 @@ ScopedTimer::~ScopedTimer() {
   histogram_->Record(static_cast<double>(MonotonicNanos() - start_ns_) * 1e-6);
 }
 
-// Out of line so WindowedHistogram (forward-declared in the header) is
-// complete where the map's destructor is instantiated.
-MetricsRegistry::MetricsRegistry() = default;
-MetricsRegistry::~MetricsRegistry() = default;
-
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* registry = new MetricsRegistry;
   return *registry;
@@ -202,31 +196,14 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
   return slot.get();
 }
 
-WindowedHistogram* MetricsRegistry::GetWindowedHistogram(
-    const std::string& name) {
-  return GetWindowedHistogram(name, WindowOptions{});
-}
-
-WindowedHistogram* MetricsRegistry::GetWindowedHistogram(
-    const std::string& name, const WindowOptions& options) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = windows_[name];
-  if (slot == nullptr) slot = std::make_unique<WindowedHistogram>(options);
-  return slot.get();
-}
-
 void MetricsRegistry::ResetAll() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, counter] : counters_) counter->Reset();
   for (auto& [name, gauge] : gauges_) gauge->Reset();
   for (auto& [name, histogram] : histograms_) histogram->Reset();
-  for (auto& [name, window] : windows_) window->Reset();
 }
 
 namespace {
-
-// The window labels matching MetricsRegistry::kExportWindowsNs.
-const char* const kExportWindowNames[3] = {"10s", "60s", "300s"};
 
 void WriteSnapshotJson(JsonWriter* w, const HistogramSnapshot& s) {
   w->Field("count", s.count);
@@ -262,22 +239,6 @@ std::string MetricsRegistry::ToJson() const {
     w.EndObject();
   }
   w.EndObject();
-  w.Key("windows").BeginObject();
-  {
-    const uint64_t now_ns = MonotonicNanos();
-    for (const auto& [name, window] : windows_) {
-      w.Key(name).BeginObject();
-      for (int i = 0; i < 3; ++i) {
-        Histogram merged;
-        window->SnapshotWindowAt(kExportWindowsNs[i], now_ns, &merged);
-        w.Key(kExportWindowNames[i]).BeginObject();
-        WriteSnapshotJson(&w, merged.Snapshot());
-        w.EndObject();
-      }
-      w.EndObject();
-    }
-  }
-  w.EndObject();
   w.EndObject();
   return w.Take();
 }
@@ -290,29 +251,6 @@ std::string PrometheusName(const std::string& name) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                     (c >= '0' && c <= '9') || c == '_';
     out += ok ? c : '_';
-  }
-  return out;
-}
-
-// Escapes a label VALUE per the exposition format: backslash, double quote,
-// and newline must be backslash-escaped inside the quotes.
-std::string PrometheusLabelValue(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (const char c : value) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
   }
   return out;
 }
@@ -403,45 +341,7 @@ std::string MetricsRegistry::ToPrometheusText() const {
   for (const auto& [name, histogram] : histograms_) {
     AppendHistogramFamily(&out, PrometheusName(name), name, *histogram);
   }
-  // Windowed histograms: one gauge family per ring, labeled by window and
-  // stat, plus a _count family so dashboards can see sample volume.
-  const uint64_t now_ns = MonotonicNanos();
-  for (const auto& [name, window] : windows_) {
-    const std::string prom = PrometheusName(name) + "_window";
-    AppendFamilyHeader(&out, prom, name, "gauge");
-    std::string counts;
-    for (int i = 0; i < 3; ++i) {
-      Histogram merged;
-      window->SnapshotWindowAt(kExportWindowsNs[i], now_ns, &merged);
-      const HistogramSnapshot s = merged.Snapshot();
-      const std::string win = PrometheusLabelValue(kExportWindowNames[i]);
-      out += prom + "{window=\"" + win + "\",stat=\"p50\"} " +
-             JsonNumber(s.p50) + "\n";
-      out += prom + "{window=\"" + win + "\",stat=\"p99\"} " +
-             JsonNumber(s.p99) + "\n";
-      out += prom + "{window=\"" + win + "\",stat=\"mean\"} " +
-             JsonNumber(s.Mean()) + "\n";
-      counts += prom + "_count{window=\"" + win + "\"} " +
-                std::to_string(s.count) + "\n";
-    }
-    AppendFamilyHeader(&out, prom + "_count", name, "gauge");
-    out += counts;
-  }
   return out;
-}
-
-BufferPoolTotals& GlobalBufferPoolTotals() {
-  static BufferPoolTotals totals;
-  return totals;
-}
-
-void PublishBufferPoolMetrics() {
-  const BufferPoolTotalsSnapshot totals = GlobalBufferPoolTotals().Snapshot();
-  const BufferPoolMetrics& m = GlobalBufferPoolMetrics();
-  m.hits->Set(totals.hits);
-  m.misses->Set(totals.misses);
-  m.evictions->Set(totals.evictions);
-  m.failed_reads->Set(totals.failed_reads);
 }
 
 void PublishThreadPoolMetrics() {

@@ -28,9 +28,6 @@
 namespace dsig {
 namespace obs {
 
-class WindowedHistogram;  // obs/window.h
-struct WindowOptions;
-
 class Counter {
  public:
   void Add(uint64_t delta = 1) {
@@ -136,43 +133,25 @@ class ScopedTimer {
 // Names use dotted lowercase ("buffer.hits", "query.knn.latency_ms").
 class MetricsRegistry {
  public:
-  // The windows every registered WindowedHistogram is summarized over in
-  // ToJson / ToPrometheusText: 10 s, 60 s, 5 min.
-  static constexpr uint64_t kExportWindowsNs[3] = {
-      10ull * 1000 * 1000 * 1000, 60ull * 1000 * 1000 * 1000,
-      300ull * 1000 * 1000 * 1000};
-
-  MetricsRegistry();
-  ~MetricsRegistry();
-
   static MetricsRegistry& Global();
 
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
-  // Rolling-window companion to GetHistogram (obs/window.h). The options
-  // apply on first creation only; later lookups of the same name return
-  // the existing ring unchanged.
-  WindowedHistogram* GetWindowedHistogram(const std::string& name);
-  WindowedHistogram* GetWindowedHistogram(const std::string& name,
-                                          const WindowOptions& options);
 
   // Zeroes every registered metric (names stay registered). Benches and the
   // stats subcommand use this to measure a clean window.
   void ResetAll();
 
   // {"counters": {...}, "gauges": {...}, "histograms": {name: {count, sum,
-  // mean, min, max, p50, p90, p99}}, "windows": {name: {"10s": {...},
-  // "60s": {...}, "300s": {...}}}}, keys sorted.
+  // mean, min, max, p50, p90, p99}}}, keys sorted.
   std::string ToJson() const;
 
   // Prometheus text exposition, one HELP + TYPE block per family:
   // counters/gauges as their native types, histograms as real histogram
   // families (cumulative le="..." buckets at octave boundaries, _sum,
-  // _count), windowed histograms as labeled gauges
-  // (dsig_<name>_window{window="10s",stat="p99"}). Dots in names become
-  // underscores, everything is prefixed "dsig_", and label values are
-  // escaped per the exposition format.
+  // _count). Dots in names become underscores and everything is prefixed
+  // "dsig_".
   std::string ToPrometheusText() const;
 
  private:
@@ -180,11 +159,10 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  std::map<std::string, std::unique_ptr<WindowedHistogram>> windows_;
 };
 
-// Plain point-in-time copy of the buffer-pool totals; what traces store and
-// diff (BufferPoolTotals itself holds atomics and is not copyable).
+// Plain point-in-time copy of the buffer-pool counters; what traces store
+// and diff.
 struct BufferPoolTotalsSnapshot {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -192,35 +170,16 @@ struct BufferPoolTotalsSnapshot {
   uint64_t failed_reads = 0;
 };
 
-// Process-wide buffer-pool totals, charged by every BufferManager instance
-// on its Access path and folded into query traces as deltas. Relaxed
-// atomics: batch query workers on different threads share one pool, and a
-// relaxed add per page access is the cheapest thing that stays coherent.
-struct BufferPoolTotals {
-  std::atomic<uint64_t> hits{0};
-  std::atomic<uint64_t> misses{0};
-  std::atomic<uint64_t> evictions{0};
-  std::atomic<uint64_t> failed_reads{0};
-
-  BufferPoolTotalsSnapshot Snapshot() const {
-    BufferPoolTotalsSnapshot s;
-    s.hits = hits.load(std::memory_order_relaxed);
-    s.misses = misses.load(std::memory_order_relaxed);
-    s.evictions = evictions.load(std::memory_order_relaxed);
-    s.failed_reads = failed_reads.load(std::memory_order_relaxed);
-    return s;
-  }
-};
-BufferPoolTotals& GlobalBufferPoolTotals();
-// Copies the totals into the registry ("buffer.*" counters).
-void PublishBufferPoolMetrics();
-
 // Copies the process-wide ThreadPoolTotals (util/thread_pool.h) into the
-// registry as "pool.*" counters, same pattern as the buffer pool.
+// registry as "pool.*" counters. util sits below obs, so the pool keeps its
+// own totals and cannot count into the registry directly.
 void PublishThreadPoolMetrics();
 
-// Registry handles for the buffer-pool gauges that track current state
-// (cheap relaxed stores, set on insert/clear rather than per access).
+// Registry handles for the process-wide buffer-pool metrics. Every
+// BufferManager charges the "buffer.*" counters on its Access path (one
+// relaxed add per page access: batch query workers on different threads
+// share one pool), and query traces fold them in as deltas. The gauges
+// track current state, set on insert/clear rather than per access.
 struct BufferPoolMetrics {
   Counter* hits;
   Counter* misses;
@@ -228,6 +187,15 @@ struct BufferPoolMetrics {
   Counter* failed_reads;
   Gauge* cached_pages;
   Gauge* capacity_pages;
+
+  BufferPoolTotalsSnapshot Snapshot() const {
+    BufferPoolTotalsSnapshot s;
+    s.hits = hits->Value();
+    s.misses = misses->Value();
+    s.evictions = evictions->Value();
+    s.failed_reads = failed_reads->Value();
+    return s;
+  }
 };
 BufferPoolMetrics& GlobalBufferPoolMetrics();
 

@@ -47,13 +47,7 @@ SloEngine::ClassState::ClassState(const SloObjective& objective_in,
     : objective(objective_in),
       total(ring),
       bad(ring),
-      latency(ring) {
-  auto& registry = MetricsRegistry::Global();
-  const std::string prefix = "slo." + objective.name;
-  burn_fast_gauge = registry.GetGauge(prefix + ".burn_fast");
-  burn_slow_gauge = registry.GetGauge(prefix + ".burn_slow");
-  state_gauge = registry.GetGauge(prefix + ".state");
-}
+      latency(ring) {}
 
 SloEngine::SloEngine(std::vector<SloObjective> objectives,
                      const SloWindows& windows)
@@ -140,16 +134,6 @@ SloState SloEngine::Overall(const std::vector<SloClassHealth>& classes) {
     }
   }
   return worst;
-}
-
-void SloEngine::PublishGaugesAt(uint64_t now_ns) const {
-  for (size_t i = 0; i < classes_.size(); ++i) {
-    const SloClassHealth h = HealthAt(static_cast<int>(i), now_ns);
-    const ClassState& c = *classes_[i];
-    c.burn_fast_gauge->Set(h.fast_burn);
-    c.burn_slow_gauge->Set(h.slow_burn);
-    c.state_gauge->Set(static_cast<double>(h.state));
-  }
 }
 
 std::string SloEngine::ReportJsonAt(uint64_t now_ns) const {

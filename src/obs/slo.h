@@ -22,9 +22,13 @@
 // Record() additionally answers "did THIS request breach its objective" —
 // the tail-sampling trigger the serve path uses for its slow-query log.
 //
-// Thread safety: Record/burn computation are lock-free (windowed shards);
-// registry gauge publication takes only the registry name-lookup mutex at
-// construction. All time-taking calls have *At twins for deterministic
+// The engine is the serving layer's only health source: dsig_serve's kStats
+// reply embeds ReportJson, and its kSlo reply prints one line per class
+// from ReportAll (serve/server.h).
+//
+// Thread safety: Record and the reports may run on any thread at once; a
+// recorder takes a ring's rotate mutex only when it opens a new slot
+// (obs/window.h). All time-taking calls have *At twins for deterministic
 // tests.
 #ifndef DSIG_OBS_SLO_H_
 #define DSIG_OBS_SLO_H_
@@ -57,8 +61,8 @@ struct SloWindows {
   double warn_burn = 6.0;
 };
 
-// Point-in-time health of one class; plain data, wire- and JSON-friendly
-// (serve/protocol.h ships a vector of these in the kStats tail).
+// Point-in-time health of one class; plain data behind ReportJson and the
+// server's SLO_HEALTH / TENANT_HEALTH lines.
 struct SloClassHealth {
   std::string name;
   SloState state = SloState::kOk;
@@ -113,12 +117,6 @@ class SloEngine {
   // Worst state across classes.
   static SloState Overall(const std::vector<SloClassHealth>& classes);
 
-  // Publishes slo.<class>.{burn_fast,burn_slow,state} gauges into the
-  // global registry (state as 0/1/2), so Prometheus scrapes and registry
-  // dumps carry SLO health without knowing the engine.
-  void PublishGauges() const { PublishGaugesAt(MonotonicNanos()); }
-  void PublishGaugesAt(uint64_t now_ns) const;
-
   // Machine-readable health report: {"windows": {...}, "overall": "...",
   // "classes": [...]}. The serve path embeds this in the kStats response.
   std::string ReportJson() const { return ReportJsonAt(MonotonicNanos()); }
@@ -133,10 +131,6 @@ class SloEngine {
     WindowedCounter bad;
     WindowedHistogram latency;  // executed requests only
     Histogram lifetime;
-    // Registry gauge handles, resolved once.
-    Gauge* burn_fast_gauge;
-    Gauge* burn_slow_gauge;
-    Gauge* state_gauge;
   };
 
   SloWindows windows_;

@@ -97,7 +97,7 @@ QueryTrace::QueryTrace(QueryInstrument* instrument, Mode mode)
     light_ = true;
     collect_ = true;
     ops_before_ = GlobalOpCounters();
-    buffer_before_ = GlobalBufferPoolTotals().Snapshot();
+    buffer_before_ = GlobalBufferPoolMetrics().Snapshot();
     return;
   }
   const bool want_root = mode == Mode::kCollectRoot || TracingEnabled();
@@ -107,7 +107,7 @@ QueryTrace::QueryTrace(QueryInstrument* instrument, Mode mode)
   collect_ = mode == Mode::kCollectRoot;
   g_active_trace = this;
   ops_before_ = GlobalOpCounters();
-  buffer_before_ = GlobalBufferPoolTotals().Snapshot();
+  buffer_before_ = GlobalBufferPoolMetrics().Snapshot();
 }
 
 TraceSummary QueryTrace::Finish() {
@@ -132,7 +132,7 @@ TraceSummary QueryTrace::Finish() {
     summary.phases_ms[static_cast<int>(Phase::kOther)] = summary.total_ms;
   }
   summary.ops = GlobalOpCounters() - ops_before_;
-  const BufferPoolTotalsSnapshot buffer = GlobalBufferPoolTotals().Snapshot();
+  const BufferPoolTotalsSnapshot buffer = GlobalBufferPoolMetrics().Snapshot();
   summary.buffer.hits = buffer.hits - buffer_before_.hits;
   summary.buffer.misses = buffer.misses - buffer_before_.misses;
   summary.buffer.evictions = buffer.evictions - buffer_before_.evictions;
@@ -158,7 +158,7 @@ QueryTrace::~QueryTrace() {
       total_ns > top_level_span_ns_ ? total_ns - top_level_span_ns_ : 0;
 
   const OpCounters ops = GlobalOpCounters() - ops_before_;
-  const BufferPoolTotalsSnapshot buffer = GlobalBufferPoolTotals().Snapshot();
+  const BufferPoolTotalsSnapshot buffer = GlobalBufferPoolMetrics().Snapshot();
 
   JsonWriter w;
   w.BeginObject();

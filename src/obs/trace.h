@@ -121,7 +121,7 @@ struct TraceSummary {
 
 // Times one query end to end: always records latency + count into the
 // registry; when tracing is enabled and this is the outermost query on the
-// thread, also snapshots OpCounters and the buffer-pool totals and emits
+// thread, also snapshots OpCounters and the buffer-pool counters and emits
 // one JSON trace line on destruction.
 //
 // Mode::kCollectRoot instead makes this trace the thread's root regardless

@@ -43,9 +43,8 @@ namespace dsig {
 
 // Where one exact-distance request was routed.
 enum class ExactRoute {
-  kLabels,    // hub-label merge
-  kChase,     // guided backtracking over signatures
-  kDijkstra,  // bounded Dijkstra on the raw graph
+  kLabels,  // hub-label merge
+  kChase,   // guided backtracking over signatures
 };
 
 // True when the hub-label tier may serve `index` right now: labels attached,

@@ -317,16 +317,6 @@ void WriteReportJson(const LoadgenOptions& options,
   point->metrics["updates_acked"] = static_cast<double>(report.updates_acked);
   point->metrics["max_acked_seq"] = static_cast<double>(report.max_acked_seq);
   point->metrics["mean_ms"] = report.mean_ms;
-  point->metrics["server_stats_ok"] = report.server_stats_ok ? 1.0 : 0.0;
-  point->metrics["server_window_p50_ms"] = report.server_window_p50_ms;
-  point->metrics["server_window_p99_ms"] = report.server_window_p99_ms;
-  point->metrics["server_queued_p99_ms"] = report.server_queued_p99_ms;
-  point->metrics["server_lifetime_p99_ms"] = report.server_lifetime_p99_ms;
-  point->metrics["server_window_count"] =
-      static_cast<double>(report.server_window_count);
-  point->metrics["divergence_ms"] = report.divergence_ms;
-  point->metrics["divergence_flagged"] =
-      report.divergence_flagged ? 1.0 : 0.0;
   if (!sorted_ms.empty()) {
     point->has_latency = true;
     point->latency.count = sorted_ms.size();
@@ -484,34 +474,6 @@ StatusOr<LoadgenReport> RunLoadgen(const LoadgenOptions& options) {
   report.actual_duration_s =
       static_cast<double>(Deadline::NowNanos() - base_ns) / 1e9;
 
-  // Consistency check: ask the server what ITS windowed serve-path tail
-  // looked like. Best-effort — the server may already be gone (crash legs
-  // of the smoke harness), which leaves server_stats_ok false.
-  {
-    ServeClient probe;
-    if (probe.Connect(options.port, options.timeout_ms).ok()) {
-      Request stats;
-      stats.type = RequestType::kStats;
-      stats.id = 2;
-      StatusOr<Response> answer = probe.Call(stats);
-      if (answer.ok()) {
-        report.server_stats_ok = true;
-        report.server_window_p50_ms = answer->window.p50_ms;
-        report.server_window_p99_ms = answer->window.p99_ms;
-        report.server_queued_p99_ms = answer->window.queued_p99_ms;
-        report.server_lifetime_p99_ms = answer->window.lifetime_p99_ms;
-        report.server_window_count = answer->window.count;
-        report.divergence_ms =
-            report.p99_ms -
-            (report.server_window_p99_ms + report.server_queued_p99_ms);
-        // Residual latency the server can't account for, beyond measurement
-        // noise: flag when it exceeds 10 ms AND half the client tail.
-        report.divergence_flagged =
-            report.divergence_ms > std::max(10.0, 0.5 * report.p99_ms);
-      }
-    }
-  }
-
   if (!options.report_path.empty()) {
     WriteReportJson(options, report, latencies);
   }
@@ -535,14 +497,7 @@ std::string FormatLoadgenSummary(const LoadgenReport& report) {
      << " max_acked_seq=" << report.max_acked_seq << " p50_ms=" << report.p50_ms
      << " p99_ms=" << report.p99_ms << " mean_ms=" << report.mean_ms
      << " max_ms=" << report.max_ms
-     << " duration_s=" << report.actual_duration_s
-     << " server_stats_ok=" << (report.server_stats_ok ? 1 : 0)
-     << " server_window_p99_ms=" << report.server_window_p99_ms
-     << " server_queued_p99_ms=" << report.server_queued_p99_ms
-     << " server_lifetime_p99_ms=" << report.server_lifetime_p99_ms
-     << " server_window_count=" << report.server_window_count
-     << " divergence_ms=" << report.divergence_ms
-     << " divergence_flagged=" << (report.divergence_flagged ? 1 : 0);
+     << " duration_s=" << report.actual_duration_s;
   for (const TenantLoadReport& t : report.tenants) {
     os << "\nTENANT_SUMMARY tenant=" << t.name << " tenant_id=" << t.tenant_id
        << " arrivals=" << t.arrivals << " completed=" << t.completed

@@ -136,24 +136,6 @@ struct LoadgenReport {
   double max_ms = 0;
   double actual_duration_s = 0;
 
-  // Client/server consistency check: the server's own windowed serve-path
-  // stats, fetched via kStats right after the run. The client p99 includes
-  // queue wait, network, and retries; the server's windowed p99 covers
-  // execution only — so the comparison is
-  //
-  //   divergence_ms = p99_ms - (server_window_p99_ms + server_queued_p99_ms)
-  //
-  // and a large positive residual means latency the server cannot see
-  // (client-side backoff, socket stalls), flagged in the report.
-  bool server_stats_ok = false;    // the post-run kStats fetch succeeded
-  double server_window_p50_ms = 0;
-  double server_window_p99_ms = 0;
-  double server_queued_p99_ms = 0;
-  double server_lifetime_p99_ms = 0;
-  uint64_t server_window_count = 0;
-  double divergence_ms = 0;
-  bool divergence_flagged = false;
-
   // One entry per configured tenant (empty for single-tenant runs).
   std::vector<TenantLoadReport> tenants;
 };

@@ -204,30 +204,6 @@ void EncodeResponse(const Response& response, std::vector<uint8_t>* out) {
   out->insert(out->end(), response.text.begin(), response.text.end());
 
   PutU64(out, response.trace_id);
-  PutF64(out, response.window.p50_ms);
-  PutF64(out, response.window.p99_ms);
-  PutU64(out, response.window.count);
-  PutF64(out, response.window.queued_p99_ms);
-  PutF64(out, response.window.lifetime_p99_ms);
-  PutU32(out, static_cast<uint32_t>(response.slo.size()));
-  for (const obs::SloClassHealth& c : response.slo) {
-    PutU32(out, static_cast<uint32_t>(c.name.size()));
-    out->insert(out->end(), c.name.begin(), c.name.end());
-    PutU8(out, static_cast<uint8_t>(c.state));
-    PutF64(out, c.latency_budget_ms);
-    PutF64(out, c.availability);
-    PutF64(out, c.fast_burn);
-    PutF64(out, c.slow_burn);
-    PutU64(out, c.fast_total);
-    PutU64(out, c.fast_bad);
-    PutU64(out, c.slow_total);
-    PutU64(out, c.slow_bad);
-    PutF64(out, c.window_p50_ms);
-    PutF64(out, c.window_p99_ms);
-    PutU64(out, c.window_count);
-    PutF64(out, c.lifetime_p99_ms);
-    PutU64(out, c.lifetime_count);
-  }
   PutU32(out, response.tenant_id);
   FinishFrame(out, payload);
 }
@@ -281,43 +257,8 @@ StatusOr<Response> DecodeResponse(const uint8_t* payload, size_t size) {
   r.text.assign(reinterpret_cast<const char*>(in.cursor()), count);
   in.Skip(count);
 
-  uint32_t num_classes = 0;
-  if (!in.ReadU64(&r.trace_id) || !in.ReadF64(&r.window.p50_ms) ||
-      !in.ReadF64(&r.window.p99_ms) || !in.ReadU64(&r.window.count) ||
-      !in.ReadF64(&r.window.queued_p99_ms) ||
-      !in.ReadF64(&r.window.lifetime_p99_ms) || !in.ReadU32(&num_classes)) {
-    return Status::Corruption("truncated response window stats");
-  }
-  // Each class is at least 4 (name len) + 1 (state) + 13 scalars * 8 bytes;
-  // guards the resize against a hostile count before the per-field reads.
-  if (in.remaining() < num_classes * 109ull) {
-    return Status::Corruption("truncated response slo classes");
-  }
-  r.slo.resize(num_classes);
-  for (obs::SloClassHealth& c : r.slo) {
-    uint32_t name_len = 0;
-    if (!in.ReadU32(&name_len) || in.remaining() < name_len) {
-      return Status::Corruption("truncated slo class name");
-    }
-    c.name.assign(reinterpret_cast<const char*>(in.cursor()), name_len);
-    in.Skip(name_len);
-    uint8_t state = 0;
-    if (!in.ReadU8(&state) || !in.ReadF64(&c.latency_budget_ms) ||
-        !in.ReadF64(&c.availability) || !in.ReadF64(&c.fast_burn) ||
-        !in.ReadF64(&c.slow_burn) || !in.ReadU64(&c.fast_total) ||
-        !in.ReadU64(&c.fast_bad) || !in.ReadU64(&c.slow_total) ||
-        !in.ReadU64(&c.slow_bad) || !in.ReadF64(&c.window_p50_ms) ||
-        !in.ReadF64(&c.window_p99_ms) || !in.ReadU64(&c.window_count) ||
-        !in.ReadF64(&c.lifetime_p99_ms) || !in.ReadU64(&c.lifetime_count)) {
-      return Status::Corruption("truncated slo class fields");
-    }
-    if (state > static_cast<uint8_t>(obs::SloState::kCritical)) {
-      return Status::Corruption("unknown slo state");
-    }
-    c.state = static_cast<obs::SloState>(state);
-  }
-  if (!in.ReadU32(&r.tenant_id)) {
-    return Status::Corruption("truncated response tenant id");
+  if (!in.ReadU64(&r.trace_id) || !in.ReadU32(&r.tenant_id)) {
+    return Status::Corruption("truncated response trace/tenant ids");
   }
   if (in.remaining() > 0) {
     return Status::Corruption("trailing bytes after response payload");

@@ -35,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/slo.h"
 #include "util/status.h"
 
 namespace dsig {
@@ -52,7 +51,7 @@ enum class RequestType : uint8_t {
   kJoin = 4,
   kUpdate = 5,
   kStats = 6,
-  kSlo = 7,  // SLO health report: greppable text + structured classes
+  kSlo = 7,  // SLO health report: greppable SLO_HEALTH / TENANT_HEALTH text
 };
 
 enum class ResponseStatus : uint8_t {
@@ -129,28 +128,14 @@ struct Response {
   uint64_t num_objects = 0;
   double suggested_epsilon = 0;
 
-  // kStats / kSlo / kError payload: metrics JSON, SLO health text, or an
-  // error message.
+  // kStats / kSlo / kError payload: the metrics + SLO JSON (kStats), the
+  // SLO health text (kSlo) — the server's health reports — or an error
+  // message.
   std::string text;
 
   // Echo of the request's trace id (server-minted when the request carried
   // none).
   uint64_t trace_id = 0;
-
-  // Windowed serve-path latency summary (kStats / kSlo / kPing): what the
-  // server's rolling 60 s window says right now, so clients can compare
-  // their observed tail against the server's own without parsing JSON.
-  struct WindowStats {
-    double p50_ms = 0;
-    double p99_ms = 0;
-    uint64_t count = 0;
-    double queued_p99_ms = 0;    // admission queue wait, same window
-    double lifetime_p99_ms = 0;  // process-lifetime histogram, for contrast
-  };
-  WindowStats window;
-
-  // Per-class SLO health (kStats / kSlo): machine-readable burn-rate state.
-  std::vector<obs::SloClassHealth> slo;
 
   // The tenant id the server resolved this request to (after folding
   // unknown ids into the default tenant), echoed so clients can see which

@@ -16,7 +16,6 @@
 #include "obs/metrics.h"
 #include "obs/op_counters.h"
 #include "obs/trace.h"
-#include "obs/window.h"
 #include "query/join_query.h"
 #include "query/knn_query.h"
 #include "query/range_query.h"
@@ -110,10 +109,6 @@ std::vector<obs::SloObjective> DefaultObjectives() {
   };
 }
 
-// The window FillObservability summarizes over (matches the registry's
-// middle export window).
-constexpr uint64_t kServeWindowNs = 60ull * 1000 * 1000 * 1000;
-
 // How long Stop() waits for in-flight requests before closing their
 // connections anyway.
 constexpr double kDrainTimeoutMs = 5000;
@@ -127,11 +122,7 @@ DsigServer::DsigServer(const Deployment& deployment,
       admission_(options.admission),
       slo_(std::make_unique<obs::SloEngine>(
           options.slo.empty() ? DefaultObjectives() : options.slo,
-          options.slo_windows)),
-      window_latency_ms_(obs::MetricsRegistry::Global().GetWindowedHistogram(
-          "serve.latency_ms")),
-      window_queued_ms_(obs::MetricsRegistry::Global().GetWindowedHistogram(
-          "serve.queued_ms")) {
+          options.slo_windows)) {
   // Per-tenant health: one SLO class per configured tenant, indexed by
   // tenant id. Names come from the bounded admission config, so the
   // cardinality here is fixed at startup.
@@ -346,23 +337,18 @@ Response DsigServer::Handle(const Request& request) {
     const CategoryPartition& partition = deployment_.index->partition();
     response.suggested_epsilon =
         partition.Midpoint(partition.num_categories() / 2);
-    FillObservability(&response);
     Metrics().ok->Add(1);
     return response;
   }
   if (request.type == RequestType::kStats) {
-    slo_->PublishGauges();
-    tenant_slo_->PublishGauges();
     response.text = "{\"metrics\": " + obs::MetricsRegistry::Global().ToJson() +
                     ", \"slo\": " + slo_->ReportJson() +
                     ", \"tenant_slo\": " + tenant_slo_->ReportJson() + "}";
-    FillObservability(&response);
     Metrics().ok->Add(1);
     return response;
   }
   if (request.type == RequestType::kSlo) {
     response.text = SloText();
-    FillObservability(&response);
     Metrics().ok->Add(1);
     return response;
   }
@@ -496,12 +482,9 @@ Response DsigServer::Handle(const Request& request) {
   const double total_ms =
       static_cast<double>(Deadline::NowNanos() - start_ns) / 1e6;
   if (executed) {
-    // Lifetime and windowed latency cover EXECUTED requests only, matching
-    // the pre-window semantics: a shed request's ~0ms turnaround says
-    // nothing about query latency. Queue wait gets its own window.
+    // Latency covers EXECUTED requests only: a shed request's ~0ms
+    // turnaround says nothing about query latency.
     Metrics().latency_ms->Record(total_ms);
-    window_latency_ms_->Record(total_ms);
-    window_queued_ms_->Record(admit.queued_ms);
   }
 
   // SLO accounting for every terminal outcome except shutdown (draining is
@@ -521,25 +504,6 @@ Response DsigServer::Handle(const Request& request) {
     }
   }
   return response;
-}
-
-void DsigServer::FillObservability(Response* response) const {
-  obs::Histogram latency;
-  window_latency_ms_->SnapshotWindow(kServeWindowNs, &latency);
-  response->window.p50_ms = latency.Percentile(50);
-  response->window.p99_ms = latency.Percentile(99);
-  response->window.count = latency.Count();
-  obs::Histogram queued;
-  window_queued_ms_->SnapshotWindow(kServeWindowNs, &queued);
-  response->window.queued_p99_ms = queued.Percentile(99);
-  response->window.lifetime_p99_ms = Metrics().latency_ms->Percentile(99);
-  response->slo = slo_->ReportAll();
-  // Tenant health rides the same wire field; "tenant_" names keep the two
-  // engines' classes distinguishable on the client side.
-  std::vector<obs::SloClassHealth> tenants = tenant_slo_->ReportAll();
-  response->slo.insert(response->slo.end(),
-                       std::make_move_iterator(tenants.begin()),
-                       std::make_move_iterator(tenants.end()));
 }
 
 std::string DsigServer::SloText() const {
@@ -568,15 +532,10 @@ std::string DsigServer::SloText() const {
         static_cast<unsigned long long>(c.window_count));
     text += line;
   }
-  obs::Histogram latency;
-  window_latency_ms_->SnapshotWindow(kServeWindowNs, &latency);
-  std::snprintf(
-      line, sizeof(line),
-      "SLO_OVERALL state=%s window_p99_ms=%.3f lifetime_p99_ms=%.3f "
-      "window_count=%llu\n",
-      obs::SloStateName(obs::SloEngine::Overall(classes)),
-      latency.Percentile(99), Metrics().latency_ms->Percentile(99),
-      static_cast<unsigned long long>(latency.Count()));
+  std::snprintf(line, sizeof(line),
+                "SLO_OVERALL state=%s lifetime_p99_ms=%.3f\n",
+                obs::SloStateName(obs::SloEngine::Overall(classes)),
+                Metrics().latency_ms->Percentile(99));
   text += line;
   return text;
 }

@@ -37,6 +37,12 @@
 // EpochGate shared and updates hold it exclusively, so a query sees each
 // update whole or not at all.
 //
+// Health: every answered query and update feeds two SLO engines
+// (obs/slo.h), one per request class and one per tenant. They are the
+// only source of serving health: kStats answers the registry JSON with
+// their "slo" and "tenant_slo" reports, kSlo their SLO_HEALTH /
+// TENANT_HEALTH / SLO_OVERALL lines.
+//
 // Shutdown: Stop() stops accepting, fails queued requests with
 // SHUTTING_DOWN, lets in-flight requests finish (for at most 5 s), then
 // closes connections. The dsig_serve binary follows with a final checkpoint.
@@ -60,7 +66,6 @@
 
 namespace dsig {
 namespace obs {
-class WindowedHistogram;
 struct TraceSummary;
 }  // namespace obs
 }  // namespace dsig
@@ -166,8 +171,6 @@ class DsigServer {
                         bool refine);
   Response ExecuteUpdate(const Request& request);
 
-  // Windowed serve-path stats + per-class SLO health into the response tail.
-  void FillObservability(Response* response) const;
   // Greppable SLO_HEALTH / SLO_OVERALL text for the kSlo request.
   std::string SloText() const;
   // Token-bucket gate on the slow-query log; true grants one line.
@@ -184,8 +187,6 @@ class DsigServer {
   SingleFlight flights_;
   std::unique_ptr<obs::SloEngine> slo_;
   std::unique_ptr<obs::SloEngine> tenant_slo_;  // class index == tenant id
-  obs::WindowedHistogram* window_latency_ms_;  // serve.latency_ms ring
-  obs::WindowedHistogram* window_queued_ms_;   // serve.queued_ms ring
   std::mutex slow_trace_mu_;  // token bucket + sink writes
   double slow_trace_tokens_ = 0;
   uint64_t slow_trace_refill_ns_ = 0;

@@ -6,8 +6,7 @@ namespace dsig {
 
 BufferManager::BufferManager(size_t capacity_pages)
     : capacity_(capacity_pages),
-      metrics_(&obs::GlobalBufferPoolMetrics()),
-      totals_(&obs::GlobalBufferPoolTotals()) {
+      metrics_(&obs::GlobalBufferPoolMetrics()) {
   // Last-constructed pool wins; experiments run one pool at a time.
   metrics_->capacity_pages->Set(static_cast<double>(capacity_pages));
 }
@@ -18,10 +17,10 @@ bool BufferManager::Access(FileId file, PageId page) {
   ++stats_.logical_accesses;
   if (capacity_ == 0) {
     ++stats_.physical_accesses;
-    totals_->misses.fetch_add(1, std::memory_order_relaxed);
+    metrics_->misses->Add(1);
     if (read_fault_injector_ && read_fault_injector_(file, page)) {
       ++stats_.failed_reads;
-      totals_->failed_reads.fetch_add(1, std::memory_order_relaxed);
+      metrics_->failed_reads->Add(1);
     }
     return false;
   }
@@ -29,15 +28,15 @@ bool BufferManager::Access(FileId file, PageId page) {
   const auto it = table_.find(key);
   if (it != table_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);
-    totals_->hits.fetch_add(1, std::memory_order_relaxed);
+    metrics_->hits->Add(1);
     return true;
   }
   ++stats_.physical_accesses;
-  totals_->misses.fetch_add(1, std::memory_order_relaxed);
+  metrics_->misses->Add(1);
   if (read_fault_injector_ && read_fault_injector_(file, page)) {
     // The read never produced a page, so nothing enters the pool.
     ++stats_.failed_reads;
-    totals_->failed_reads.fetch_add(1, std::memory_order_relaxed);
+    metrics_->failed_reads->Add(1);
     return false;
   }
   lru_.push_front(key);
@@ -46,7 +45,7 @@ bool BufferManager::Access(FileId file, PageId page) {
     table_.erase(lru_.back());
     lru_.pop_back();
     ++stats_.evictions;
-    totals_->evictions.fetch_add(1, std::memory_order_relaxed);
+    metrics_->evictions->Add(1);
   }
   metrics_->cached_pages->Set(static_cast<double>(table_.size()));
   return false;

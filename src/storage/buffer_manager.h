@@ -55,9 +55,9 @@ struct BufferStats {
 class BufferManager {
  public:
   // `capacity_pages` = 0 disables caching entirely (every access is a miss).
-  // Hits/misses/evictions also charge the process-wide BufferPoolTotals
-  // shared across all pools (published to the registry as "buffer.*" via
-  // PublishBufferPoolMetrics(), see obs/metrics.h).
+  // Hits/misses/evictions/failed reads also charge the process-wide
+  // "buffer.*" registry counters shared across all pools (see
+  // obs::BufferPoolMetrics).
   explicit BufferManager(size_t capacity_pages);
 
   BufferManager(const BufferManager&) = delete;
@@ -106,8 +106,7 @@ class BufferManager {
   size_t capacity_;
   mutable std::mutex mu_;  // guards stats_, lru_, table_
   BufferStats stats_;
-  obs::BufferPoolMetrics* metrics_;  // process-wide gauges, never null
-  obs::BufferPoolTotals* totals_;    // process-wide totals, never null
+  obs::BufferPoolMetrics* metrics_;  // process-wide metrics, never null
   std::list<uint64_t> lru_;  // front = most recent
   std::unordered_map<uint64_t, std::list<uint64_t>::iterator> table_;
   FileId next_file_ = 0;

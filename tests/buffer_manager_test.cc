@@ -91,6 +91,20 @@ TEST(BufferManagerTest, EvictionsAreCounted) {
   EXPECT_EQ(buffer.stats().evictions, 1u);
 }
 
+TEST(BufferManagerTest, AccessesChargeTheRegistryCounters) {
+  const obs::BufferPoolMetrics& m = obs::GlobalBufferPoolMetrics();
+  const obs::BufferPoolTotalsSnapshot before = m.Snapshot();
+  BufferManager buffer(1);
+  const FileId f = buffer.RegisterFile();
+  buffer.Access(f, 1);  // miss
+  buffer.Access(f, 1);  // hit
+  buffer.Access(f, 2);  // miss that evicts page 1
+  const obs::BufferPoolTotalsSnapshot after = m.Snapshot();
+  EXPECT_EQ(after.hits - before.hits, 1u);
+  EXPECT_EQ(after.misses - before.misses, 2u);
+  EXPECT_EQ(after.evictions - before.evictions, 1u);
+}
+
 TEST(BufferManagerTest, StatsForEachVisitsEveryField) {
   BufferStats s{10, 6, 3, 2};
   uint64_t sum = 0;

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/window.h"
 #include "util/thread_pool.h"
 
 #include <algorithm>
@@ -219,19 +218,6 @@ TEST(MetricsRegistryTest, PrometheusTextShape) {
   EXPECT_EQ(text.find("quantile="), std::string::npos);
 }
 
-TEST(MetricsRegistryTest, PrometheusExportsWindowedHistograms) {
-  MetricsRegistry registry;
-  WindowedHistogram* w = registry.GetWindowedHistogram("serve.latency_ms");
-  for (int i = 0; i < 100; ++i) w->Record(5.0);
-  const std::string text = registry.ToPrometheusText();
-  EXPECT_NE(text.find("# TYPE dsig_serve_latency_ms_window gauge"),
-            std::string::npos);
-  EXPECT_NE(text.find("window=\"10s\""), std::string::npos);
-  EXPECT_NE(text.find("stat=\"p99\""), std::string::npos);
-  EXPECT_NE(text.find("dsig_serve_latency_ms_window_count{window=\"10s\"}"),
-            std::string::npos);
-}
-
 // The percentile-accuracy contract: bucket-interpolated percentiles stay
 // within one log bucket (~9% relative error) of the EXACT sample quantiles,
 // on distributions with very different shapes — and merging per-shard
@@ -335,21 +321,6 @@ TEST(BufferPoolMetricsTest, WiredToRegistry) {
   EXPECT_EQ(m.hits, MetricsRegistry::Global().GetCounter("buffer.hits"));
   EXPECT_EQ(m.cached_pages,
             MetricsRegistry::Global().GetGauge("buffer.cached_pages"));
-}
-
-TEST(BufferPoolMetricsTest, PublishCopiesTotalsIntoRegistry) {
-  BufferPoolTotals& totals = GlobalBufferPoolTotals();
-  totals.hits.fetch_add(5, std::memory_order_relaxed);
-  totals.misses.fetch_add(3, std::memory_order_relaxed);
-  totals.evictions.fetch_add(2, std::memory_order_relaxed);
-  PublishBufferPoolMetrics();
-  const BufferPoolTotalsSnapshot snap = totals.Snapshot();
-  auto& registry = MetricsRegistry::Global();
-  EXPECT_EQ(registry.GetCounter("buffer.hits")->Value(), snap.hits);
-  EXPECT_EQ(registry.GetCounter("buffer.misses")->Value(), snap.misses);
-  EXPECT_EQ(registry.GetCounter("buffer.evictions")->Value(), snap.evictions);
-  EXPECT_EQ(registry.GetCounter("buffer.failed_reads")->Value(),
-            snap.failed_reads);
 }
 
 TEST(ThreadPoolMetricsTest, PublishCopiesPoolTotalsIntoRegistry) {

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/window.h"
 
 namespace dsig {
 namespace obs {
@@ -280,41 +279,27 @@ TEST(PrometheusConformanceTest, FullRegistryExportConforms) {
   MetricsRegistry registry;
   registry.GetCounter("serve.requests")->Add(123);
   registry.GetCounter("buffer.hits")->Add(7);
-  registry.GetGauge("epoch.current")->Set(41.5);
-  registry.GetGauge("slo.knn.burn_fast")->Set(0.25);
+  registry.GetGauge("rowcache.bytes")->Set(41.5);
   Histogram* latency = registry.GetHistogram("query.knn.latency_ms");
   // Spread across octaves, including underflow and the far tail.
   for (const double v : {0.0, 1e-7, 0.004, 0.25, 1.0, 3.0, 17.0, 250.0,
                          8000.0, 1e12}) {
     latency->Record(v);
   }
-  WindowedHistogram* window = registry.GetWindowedHistogram("serve.latency_ms");
-  for (int i = 0; i < 50; ++i) window->Record(2.0 + i * 0.1);
 
   ExpositionChecker checker;
   checker.Check(registry.ToPrometheusText());
 
   // The families we registered all made it out, with the right types.
   EXPECT_EQ(checker.families.at("dsig_serve_requests").type, "counter");
-  EXPECT_EQ(checker.families.at("dsig_epoch_current").type, "gauge");
+  EXPECT_EQ(checker.families.at("dsig_rowcache_bytes").type, "gauge");
   EXPECT_EQ(checker.families.at("dsig_query_knn_latency_ms").type,
             "histogram");
-  EXPECT_EQ(checker.families.at("dsig_serve_latency_ms_window").type, "gauge");
-  EXPECT_EQ(checker.families.at("dsig_serve_latency_ms_window_count").type,
-            "gauge");
 
   // Counter value survives the round trip.
   const Family& requests = checker.families.at("dsig_serve_requests");
   ASSERT_EQ(requests.samples.size(), 1u);
   EXPECT_DOUBLE_EQ(requests.samples[0].value, 123.0);
-
-  // The windowed family carries the three windows x three stats.
-  const Family& windowed = checker.families.at("dsig_serve_latency_ms_window");
-  EXPECT_EQ(windowed.samples.size(), 9u);
-  for (const Sample& s : windowed.samples) {
-    EXPECT_EQ(s.label_map.count("window"), 1u);
-    EXPECT_EQ(s.label_map.count("stat"), 1u);
-  }
 }
 
 TEST(PrometheusConformanceTest, EmptyHistogramStillConforms) {
@@ -330,9 +315,8 @@ TEST(PrometheusConformanceTest, EmptyHistogramStillConforms) {
 TEST(PrometheusConformanceTest, LabelEscapingRoundTrips) {
   // The escaping helpers are exercised through the checker's unescape: a
   // value with backslash, quote, and newline must survive one round trip.
-  // (Label values in the current exporter are fixed window/stat strings;
-  // this pins the escaping contract the exporter promises for future
-  // label sources.)
+  // (The exporter's only label today is the histogram bucket's `le`; this
+  // pins the escaping contract for future label sources.)
   const std::string hostile = "a\\b\"c\nd";
   std::string escaped;
   for (const char c : hostile) {

@@ -149,66 +149,6 @@ TEST(ProtocolTest, HostileBytesFailCleanly) {
   EXPECT_FALSE(DecodeRequest(payload.data(), payload.size()).ok());
 }
 
-TEST(ProtocolTest, ResponseObservabilityTailRoundTrip) {
-  Response response;
-  response.id = 88;
-  response.status = ResponseStatus::kOk;
-  response.text = "body";
-  response.trace_id = 0x1234567890abcdefull;
-  response.window.p50_ms = 1.5;
-  response.window.p99_ms = 42.25;
-  response.window.count = 777;
-  response.window.queued_p99_ms = 3.125;
-  response.window.lifetime_p99_ms = 55.5;
-  response.slo.resize(2);
-  response.slo[0].name = "knn";
-  response.slo[0].state = obs::SloState::kCritical;
-  response.slo[0].latency_budget_ms = 50;
-  response.slo[0].availability = 0.99;
-  response.slo[0].fast_burn = 21.5;
-  response.slo[0].slow_burn = 16.25;
-  response.slo[0].fast_total = 100;
-  response.slo[0].fast_bad = 30;
-  response.slo[0].slow_total = 600;
-  response.slo[0].slow_bad = 90;
-  response.slo[0].window_p50_ms = 4.5;
-  response.slo[0].window_p99_ms = 80.0;
-  response.slo[0].window_count = 590;
-  response.slo[0].lifetime_p99_ms = 65.0;
-  response.slo[0].lifetime_count = 4000;
-  response.slo[1].name = "update";
-  response.slo[1].state = obs::SloState::kOk;
-
-  std::vector<uint8_t> frame;
-  EncodeResponse(response, &frame);
-  uint32_t payload_len = 0;
-  ASSERT_TRUE(CheckFrameHeader(frame.data(), &payload_len).ok());
-  auto decoded = DecodeResponse(frame.data() + kFrameHeaderBytes, payload_len);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->trace_id, response.trace_id);
-  EXPECT_DOUBLE_EQ(decoded->window.p50_ms, 1.5);
-  EXPECT_DOUBLE_EQ(decoded->window.p99_ms, 42.25);
-  EXPECT_EQ(decoded->window.count, 777u);
-  EXPECT_DOUBLE_EQ(decoded->window.queued_p99_ms, 3.125);
-  EXPECT_DOUBLE_EQ(decoded->window.lifetime_p99_ms, 55.5);
-  ASSERT_EQ(decoded->slo.size(), 2u);
-  EXPECT_EQ(decoded->slo[0].name, "knn");
-  EXPECT_EQ(decoded->slo[0].state, obs::SloState::kCritical);
-  EXPECT_DOUBLE_EQ(decoded->slo[0].latency_budget_ms, 50.0);
-  EXPECT_DOUBLE_EQ(decoded->slo[0].fast_burn, 21.5);
-  EXPECT_DOUBLE_EQ(decoded->slo[0].slow_burn, 16.25);
-  EXPECT_EQ(decoded->slo[0].fast_total, 100u);
-  EXPECT_EQ(decoded->slo[0].fast_bad, 30u);
-  EXPECT_EQ(decoded->slo[0].slow_total, 600u);
-  EXPECT_EQ(decoded->slo[0].slow_bad, 90u);
-  EXPECT_DOUBLE_EQ(decoded->slo[0].window_p99_ms, 80.0);
-  EXPECT_EQ(decoded->slo[0].window_count, 590u);
-  EXPECT_DOUBLE_EQ(decoded->slo[0].lifetime_p99_ms, 65.0);
-  EXPECT_EQ(decoded->slo[0].lifetime_count, 4000u);
-  EXPECT_EQ(decoded->slo[1].name, "update");
-  EXPECT_EQ(decoded->slo[1].state, obs::SloState::kOk);
-}
-
 TEST(ProtocolTest, ResponseTailTruncationFuzz) {
   // One fixed layout: every truncation of a response that carries every
   // field, and the response with one byte too many, is corruption.
@@ -220,11 +160,6 @@ TEST(ProtocolTest, ResponseTailTruncationFuzz) {
   response.text = "t";
   response.trace_id = 0xfeedull;
   response.tenant_id = 3;
-  response.window.p99_ms = 9.5;
-  response.window.count = 3;
-  response.slo.resize(2);
-  response.slo[0].name = "knn";
-  response.slo[1].name = "update";
 
   std::vector<uint8_t> frame;
   EncodeResponse(response, &frame);
@@ -234,7 +169,6 @@ TEST(ProtocolTest, ResponseTailTruncationFuzz) {
   const auto decoded = DecodeResponse(payload.data(), payload.size());
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->trace_id, response.trace_id);
-  EXPECT_EQ(decoded->slo.size(), 2u);
   EXPECT_EQ(decoded->tenant_id, response.tenant_id);
   for (uint32_t cut = 0; cut < payload_len; ++cut) {
     const std::vector<uint8_t> head(payload.begin(), payload.begin() + cut);
@@ -248,17 +182,23 @@ TEST(ProtocolTest, ResponseTailTruncationFuzz) {
       << "a trailing byte decoded";
   payload.pop_back();
 
-  // A hostile class count must fail the size pre-check, not allocate. The
-  // 4-byte count is followed by the classes (109 fixed bytes + name each)
-  // and the 4-byte tenant id that ends the payload.
-  size_t count_at = payload_len - 4 - 4;
-  for (const auto& cls : response.slo) count_at -= 109 + cls.name.size();
+  // A hostile object count must fail the size pre-check, not allocate. The
+  // 4-byte count follows id (8), status (1), degradation (1) and
+  // retry_after_ms (8).
+  const size_t count_at = 18;
+  ASSERT_EQ(payload[count_at], response.objects.size());
   std::vector<uint8_t> hostile = payload;
   hostile[count_at + 0] = 0xff;
   hostile[count_at + 1] = 0xff;
   hostile[count_at + 2] = 0xff;
   hostile[count_at + 3] = 0x7f;
   EXPECT_FALSE(DecodeResponse(hostile.data(), hostile.size()).ok());
+
+  // Every field is fixed-width except the four counted ones, so an empty
+  // response is the layout's fixed part: 86 bytes.
+  std::vector<uint8_t> empty;
+  EncodeResponse(Response{}, &empty);
+  EXPECT_EQ(empty.size(), kFrameHeaderBytes + 86);
 }
 
 // --- Admission --------------------------------------------------------------
@@ -655,18 +595,6 @@ TEST_F(ServerFixture, SloEndpointReportsHealthAndStats) {
   EXPECT_NE(health.text.find("SLO_HEALTH class=knn"), std::string::npos)
       << health.text;
   EXPECT_NE(health.text.find("SLO_OVERALL state="), std::string::npos);
-  // The wire tail carries the same machine-readable report.
-  EXPECT_FALSE(health.slo.empty());
-  EXPECT_GT(health.window.count, 0u);
-  bool found_knn = false;
-  for (const auto& cls : health.slo) {
-    if (cls.name == "knn") {
-      found_knn = true;
-      EXPECT_EQ(cls.state, obs::SloState::kOk);
-      EXPECT_GT(cls.window_count, 0u);
-    }
-  }
-  EXPECT_TRUE(found_knn);
 
   Request stats;
   stats.type = RequestType::kStats;

@@ -167,17 +167,6 @@ TEST_F(SloEngineTest, ReportJsonCarriesTheHealthReport) {
   EXPECT_NE(json.find("\"window_p99_ms\""), std::string::npos);
 }
 
-TEST_F(SloEngineTest, PublishGaugesLandsInTheGlobalRegistry) {
-  const uint64_t base = 7000 * kSec;
-  for (int i = 0; i < 10; ++i) {
-    engine_.RecordAt(0, 100.0, false, true, base);
-  }
-  engine_.PublishGaugesAt(base + kSec);
-  auto& registry = MetricsRegistry::Global();
-  EXPECT_GT(registry.GetGauge("slo.knn.burn_fast")->Value(), 14.4);
-  EXPECT_GE(registry.GetGauge("slo.knn.state")->Value(), 0.0);
-}
-
 TEST(SloStateTest, NamesAreStable) {
   EXPECT_STREQ(SloStateName(SloState::kOk), "ok");
   EXPECT_STREQ(SloStateName(SloState::kWarning), "warning");

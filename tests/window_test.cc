@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -143,6 +144,47 @@ TEST(WindowedHistogramTest, ConcurrentRecordersDontLoseSamples) {
   w.SnapshotWindow(3600ull * kSec, &snap);
   EXPECT_EQ(snap.Count(),
             static_cast<uint64_t>(kThreads) * kPerThread);
+}
+
+TEST(WindowedHistogramTest, ConcurrentRotationAndSnapshots) {
+  // Recorders each walk 48 one-second ticks, so slots rotate while other
+  // recorders and a reader touch the ring. 48 ticks on a 64-slot ring
+  // recycle no slot, so every sample must survive into the final snapshot.
+  WindowOptions options;
+  options.slot_ns = kSec;
+  options.num_slots = 64;
+  WindowedHistogram w(options);
+  constexpr int kThreads = 4;
+  constexpr int kTicks = 48;
+  constexpr int kPerTick = 200;
+  constexpr uint64_t kBase = 1000 * kSec;
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      Histogram snap;
+      w.SnapshotWindowAt(kTicks * kSec, kBase + (kTicks - 1) * kSec, &snap);
+      EXPECT_LE(snap.Count(),
+                static_cast<uint64_t>(kThreads) * kTicks * kPerTick);
+    }
+  });
+  std::vector<std::thread> recorders;
+  for (int t = 0; t < kThreads; ++t) {
+    recorders.emplace_back([&w, t] {
+      for (int tick = 0; tick < kTicks; ++tick) {
+        const uint64_t now = kBase + static_cast<uint64_t>(tick) * kSec;
+        for (int i = 0; i < kPerTick; ++i) {
+          w.RecordAt(static_cast<double>(t + 1), now);
+        }
+      }
+    });
+  }
+  for (std::thread& t : recorders) t.join();
+  done.store(true, std::memory_order_relaxed);
+  reader.join();
+  Histogram snap;
+  w.SnapshotWindowAt(kTicks * kSec, kBase + (kTicks - 1) * kSec, &snap);
+  EXPECT_EQ(snap.Count(),
+            static_cast<uint64_t>(kThreads) * kTicks * kPerTick);
 }
 
 }  // namespace
