@@ -6,7 +6,10 @@
 // Expected shape: updates touch a small fraction of rows (locality from the
 // exponential categories + the spanning forest's parent edges, which name
 // the objects whose trees use an edge), orders of magnitude cheaper than a
-// rebuild.
+// rebuild. Each point also reports the retained forest's size after its
+// stream (`forest_mb`), and the report's params the largest forest's bytes
+// per (object, node) slot (`forest_bytes_per_slot`): 5 on the generator's
+// integer weights.
 //
 // A second exhibit measures what durability costs: the same update stream
 // applied in-place versus through DurableUpdater's WAL at each sync policy.
@@ -41,7 +44,11 @@ int main(int argc, char** argv) {
               num_updates);
 
   TablePrinter table({"dataset p", "kind", "rows touched/upd", "% of rows",
-                      "tree entries/upd", "ms/update", "rebuild (ms)"});
+                      "tree entries/upd", "ms/update", "rebuild (ms)",
+                      "forest (MiB)"});
+  // Bytes per (object, node) slot of the largest forest after its stream:
+  // 5 while every distance is a whole number below 2^32 - 1, else 9.
+  double forest_bytes_per_slot = 0;
 
   for (const double density : {0.001, 0.01}) {
     for (const int kind : {0, 1, 2}) {  // 0=decrease, 1=increase, 2=insert
@@ -99,6 +106,12 @@ int main(int argc, char** argv) {
           static_cast<double>(applied);
       const double rows_per_update =
           static_cast<double>(rows) / static_cast<double>(applied);
+      const double forest_bytes =
+          static_cast<double>(index->forest()->MemoryBytes());
+      forest_bytes_per_slot = std::max(
+          forest_bytes_per_slot,
+          forest_bytes / static_cast<double>(objects.size() * nodes));
+      const double forest_mb = forest_bytes / (1024.0 * 1024.0);
       const char* kind_name =
           kind == 0 ? "decrease" : (kind == 1 ? "increase" : "insert");
       auto* point =
@@ -109,6 +122,7 @@ int main(int argc, char** argv) {
             static_cast<double>(tree_entries) / static_cast<double>(applied);
         point->metrics["ms_per_update"] = ms_per_update;
         point->metrics["rebuild_ms"] = rebuild_ms;
+        point->metrics["forest_mb"] = forest_mb;
       }
       table.AddRow({Fmt("%.3f", density), kind_name,
                     Fmt("%.1f", rows_per_update),
@@ -116,9 +130,11 @@ int main(int argc, char** argv) {
                                       static_cast<double>(nodes)),
                     Fmt("%.1f", static_cast<double>(tree_entries) /
                                     static_cast<double>(applied)),
-                    Fmt("%.2f", ms_per_update), Fmt("%.0f", rebuild_ms)});
+                    Fmt("%.2f", ms_per_update), Fmt("%.0f", rebuild_ms),
+                    Fmt("%.2f", forest_mb)});
     }
   }
+  json.SetParam("forest_bytes_per_slot", forest_bytes_per_slot);
   table.Print();
   std::printf(
       "\nExpected shape: a few %% of rows touched per update; ms/update "
@@ -210,7 +226,8 @@ int main(int argc, char** argv) {
     Measurement m;
     m.mean_ms = ms_per_update;
     m.items = script.size();
-    auto* point = json.Add("wal_overhead", mode.name, Fmt("%zu", nodes), m);
+    auto* point =
+        json.Add("wal_overhead", mode.name, std::to_string(nodes), m);
     if (point != nullptr) {
       point->metrics["ms_per_update"] = ms_per_update;
       point->metrics["overhead_x"] = overhead;

@@ -39,12 +39,6 @@ int FieldWidth(uint64_t max_value) {
   return std::max(1, static_cast<int>(std::bit_width(max_value)));
 }
 
-// True when `d` round-trips through a uint64_t bit for bit: whole,
-// non-negative (and not -0.0), below 2^53. NaN fails the comparison.
-bool IsPackableDistance(double d) {
-  return !std::signbit(d) && d < 0x1p53 && d == std::floor(d);
-}
-
 double MeanLiveEdgeWeight(const RoadNetwork& graph) {
   double sum = 0;
   size_t count = 0;

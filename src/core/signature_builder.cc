@@ -17,8 +17,7 @@ constexpr size_t kRowSweepGrain = 64;
 
 }  // namespace
 
-SignatureRow BuildRowFromForest(const RoadNetwork& graph,
-                                const SpanningForest& forest,
+SignatureRow BuildRowFromForest(const SpanningForest& forest,
                                 const CategoryPartition& partition, NodeId n) {
   SignatureRow row(forest.num_objects());
   for (uint32_t o = 0; o < forest.num_objects(); ++o) {
@@ -28,18 +27,10 @@ SignatureRow BuildRowFromForest(const RoadNetwork& graph,
         << "; signatures require a connected network";
     SignatureEntry& entry = row[o];
     entry.category = static_cast<uint8_t>(partition.CategoryOf(d));
-    if (forest.objects()[o] == n) {
-      entry.link = 0;  // the object lives here; no next hop
-    } else {
-      // parent(o, n) is n's parent in the tree rooted at the object — the
-      // next hop from n toward the object. The link stores its slot in n's
-      // adjacency list (Fig 3.1).
-      const EdgeId via = forest.parent_edge(o, n);
-      DSIG_CHECK_NE(via, kInvalidEdge);
-      const uint32_t slot = graph.AdjacencyIndexOf(n, via);
-      DSIG_CHECK_LT(slot, 256u) << "adjacency slot exceeds 8-bit link";
-      entry.link = static_cast<uint8_t>(slot);
-    }
+    // n's parent in the tree rooted at the object is the next hop from n
+    // toward it; the forest stores its slot in n's adjacency list, which is
+    // the link (Fig 3.1). The object lives at its own node: no next hop.
+    entry.link = forest.objects()[o] == n ? 0 : forest.parent_slot(o, n);
   }
   return row;
 }
@@ -122,8 +113,8 @@ std::unique_ptr<SignatureIndex> BuildSignatureIndex(
       num_nodes, kRowSweepGrain, [&](size_t begin, size_t end) {
         std::vector<uint64_t> local_freq(static_cast<size_t>(m), 0);
         for (size_t n = begin; n < end; ++n) {
-          built_rows[n] = BuildRowFromForest(graph, *forest, partition,
-                                             static_cast<NodeId>(n));
+          built_rows[n] =
+              BuildRowFromForest(*forest, partition, static_cast<NodeId>(n));
           AccumulateCategoryFrequencies(built_rows[n], &local_freq);
         }
         std::lock_guard<std::mutex> lock(merge_mu);
@@ -132,8 +123,11 @@ std::unique_ptr<SignatureIndex> BuildSignatureIndex(
         }
       });
 
-  // Link width: one slot index per adjacency entry, with one spare bit of
-  // headroom so edge insertions during maintenance rarely force a re-encode.
+  // Link width: one slot index per adjacency entry, plus one spare bit, so
+  // edge insertions can grow every node to at least twice the build's
+  // largest degree. The width is fixed for the index's lifetime: nothing
+  // re-encodes the rows wider, so DurableUpdater refuses an AddEdge whose
+  // endpoint already holds all 1 << link_bits slots a link can address.
   int link_bits = 1;
   while ((1u << link_bits) < graph.max_degree()) ++link_bits;
   link_bits += 1;

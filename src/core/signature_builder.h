@@ -34,8 +34,10 @@ struct SignatureBuildOptions {
 
   CategoryCodeKind code_kind = CategoryCodeKind::kReverseZeroPadding;
   bool compress = true;
-  // Retain the spanning forest (needed by SignatureUpdater). Costs
-  // O(objects x nodes) memory.
+  // Retain the spanning forest (needed by SignatureUpdater). Costs 5 bytes
+  // per (object, node) pair while every distance is a whole number below
+  // 2^32 - 1, 9 bytes otherwise (graph/spanning_tree.h). The build holds
+  // the same forest transiently either way.
   bool keep_forest = true;
 
   // Worker threads for the parallel phases: 0 = the process-wide pool,
@@ -53,8 +55,7 @@ std::unique_ptr<SignatureIndex> BuildSignatureIndex(
 
 // Builds node `n`'s uncompressed row from a finished forest — shared by the
 // builder and the updater.
-SignatureRow BuildRowFromForest(const RoadNetwork& graph,
-                                const SpanningForest& forest,
+SignatureRow BuildRowFromForest(const SpanningForest& forest,
                                 const CategoryPartition& partition, NodeId n);
 
 }  // namespace dsig

@@ -176,8 +176,7 @@ UpdateStats SignatureUpdater::ApplyTreeChanges(
   // cache a row computed against the pre-update object table meanwhile: the
   // caller's UpdateGuard keeps every reader out until the loop is done.
   for (const NodeId n : nodes) {
-    SignatureRow row =
-        BuildRowFromForest(*graph_, forest, partition, n);
+    SignatureRow row = BuildRowFromForest(forest, partition, n);
     if (index_->codec().has_flags()) index_->compressor().Compress(&row);
     stats.entries_changed += index_->ReplaceRow(n, row);
     ++stats.rows_rewritten;

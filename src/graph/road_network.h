@@ -14,6 +14,7 @@
 #ifndef DSIG_GRAPH_ROAD_NETWORK_H_
 #define DSIG_GRAPH_ROAD_NETWORK_H_
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -33,6 +34,13 @@ inline constexpr ObjectId kInvalidObject =
     std::numeric_limits<ObjectId>::max();
 inline constexpr Weight kInfiniteWeight =
     std::numeric_limits<Weight>::infinity();
+
+// True when `d` round-trips through a uint64_t bit for bit: whole,
+// non-negative (and not -0.0), below 2^53. NaN fails the comparison. The
+// hub-label blob and the spanning forest store such distances as integers.
+inline bool IsPackableDistance(Weight d) {
+  return !std::signbit(d) && d < 0x1p53 && d == std::floor(d);
+}
 
 // 2-D planar position of a junction. Used by the generators, the NVP R-tree,
 // and Euclidean heuristics; network distances never depend on it.

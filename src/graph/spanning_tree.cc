@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <deque>
+#include <mutex>
 #include <queue>
+#include <shared_mutex>
 #include <tuple>
 #include <utility>
 
@@ -20,30 +22,66 @@ SpanningForest::SpanningForest(const RoadNetwork* graph,
 void SpanningForest::Build(ThreadPool* pool) {
   num_nodes_ = graph_->num_nodes();
   const size_t slots = objects_.size() * num_nodes_;
-  dist_.assign(slots, kInfiniteWeight);
-  parent_edge_.assign(slots, kInvalidEdge);
+  parent_slot_.assign(slots, 0);
+  narrow_dist_.assign(slots, kNarrowUnreachable);
+  std::vector<Weight>().swap(wide_dist_);
+  wide_ = false;
 
   // The per-object Dijkstras are independent (§5.2); run them on the shared
   // pool (steal-balanced: a central object's Dijkstra settles far more nodes
-  // than a peripheral one's). Each writes a disjoint row-major slice.
+  // than a peripheral one's). Each writes a disjoint row-major slice under a
+  // shared lock; the first tree whose distances do not fit the narrow column
+  // takes the lock exclusively to widen it, so the width is decided by the
+  // distances alone and not by the pool size.
   if (pool == nullptr) pool = &ThreadPool::Global();
+  std::shared_mutex widen_mu;
   pool->ParallelFor(objects_.size(), [&](size_t o) {
     const ShortestPathTree tree = RunDijkstra(*graph_, objects_[o]);
+    if (!std::all_of(tree.dist.begin(), tree.dist.end(), FitsNarrow)) {
+      const std::unique_lock<std::shared_mutex> lock(widen_mu);
+      if (!wide_) Widen();
+    }
+    const std::shared_lock<std::shared_mutex> lock(widen_mu);
     for (NodeId n = 0; n < num_nodes_; ++n) {
       const size_t slot = Slot(static_cast<uint32_t>(o), n);
-      dist_[slot] = tree.dist[n];
-      parent_edge_[slot] = tree.parent_edge[n];
+      StoreDist(slot, tree.dist[n]);
+      if (tree.parent_edge[n] != kInvalidEdge) {
+        parent_slot_[slot] = AdjacencySlot(n, tree.parent_edge[n]);
+      }
     }
   });
   built_ = true;
+}
+
+size_t SpanningForest::MemoryBytes() const {
+  return parent_slot_.capacity() * sizeof(uint8_t) +
+         narrow_dist_.capacity() * sizeof(uint32_t) +
+         wide_dist_.capacity() * sizeof(Weight);
+}
+
+uint8_t SpanningForest::NarrowSlot(NodeId n, uint32_t index) {
+  DSIG_CHECK_LT(index, 256u) << "parent edge of node " << n
+                             << " lies beyond the 8-bit parent slot";
+  return static_cast<uint8_t>(index);
+}
+
+void SpanningForest::Widen() {
+  wide_dist_.resize(narrow_dist_.size());
+  std::transform(narrow_dist_.begin(), narrow_dist_.end(), wide_dist_.begin(),
+                 NarrowToWeight);
+  std::vector<uint32_t>().swap(narrow_dist_);
+  wide_ = true;
 }
 
 std::vector<uint32_t> SpanningForest::ObjectsUsingEdge(EdgeId edge) const {
   std::vector<uint32_t> users;
   if (edge >= graph_->num_edge_slots()) return users;
   const auto [a, b] = graph_->edge_endpoints(edge);
+  const uint32_t slot_in_a = graph_->AdjacencyIndexOf(a, edge);
+  const uint32_t slot_in_b = graph_->AdjacencyIndexOf(b, edge);
   for (uint32_t o = 0; o < objects_.size(); ++o) {
-    if (parent_edge_[Slot(o, a)] == edge || parent_edge_[Slot(o, b)] == edge) {
+    if ((parent_slot(o, a) == slot_in_a && HasParent(o, a)) ||
+        (parent_slot(o, b) == slot_in_b && HasParent(o, b))) {
       users.push_back(o);
     }
   }
@@ -60,7 +98,7 @@ std::vector<NodeId> SpanningForest::CollectSubtree(uint32_t object_index,
       // very edge (which also tells parallel edges apart). Removed edges can
       // still be tree edges right after RemoveEdge — that is exactly the case
       // the caller is repairing.
-      if (parent_edge_[Slot(object_index, entry.to)] == entry.edge_id) {
+      if (parent_edge(object_index, entry.to) == entry.edge_id) {
         subtree.push_back(entry.to);
       }
     }
@@ -83,13 +121,11 @@ std::vector<TreeChange> SpanningForest::OnEdgeAddedOrDecreased(EdgeId edge) {
     std::deque<NodeId> queue;
     const auto relax = [&](NodeId from, NodeId to, Weight weight,
                            EdgeId via) {
-      const size_t from_slot = Slot(o, from);
-      const size_t to_slot = Slot(o, to);
-      if (dist_[from_slot] == kInfiniteWeight) return;
-      const Weight nd = dist_[from_slot] + weight;
-      if (nd < dist_[to_slot]) {
-        dist_[to_slot] = nd;
-        parent_edge_[to_slot] = via;
+      const Weight base = dist(o, from);
+      if (base == kInfiniteWeight) return;
+      const Weight nd = base + weight;
+      if (nd < dist(o, to)) {
+        SetParent(o, to, nd, AdjacencySlot(to, via));
         changes.push_back({o, to});
         queue.push_back(to);
       }
@@ -130,32 +166,33 @@ std::vector<TreeChange> SpanningForest::OnEdgeIncreasedOrRemoved(EdgeId edge) {
   std::vector<TreeChange> changes;
   for (const uint32_t o : affected) {
     // The child endpoint is the one whose parent edge is this edge.
-    const NodeId child = parent_edge_[Slot(o, ea)] == edge ? ea : eb;
+    const NodeId child = parent_edge(o, ea) == edge ? ea : eb;
 
     // Invalidate the whole subtree hanging below the weakened edge, then
     // repair it with a Dijkstra seeded from the frontier of intact nodes.
     const std::vector<NodeId> subtree = CollectSubtree(o, child);
     std::vector<bool> in_subtree(num_nodes_, false);
     std::vector<Weight> old_dist(subtree.size());
-    std::vector<EdgeId> old_parent_edge(subtree.size());
+    std::vector<uint8_t> old_parent_slot(subtree.size());
     for (size_t i = 0; i < subtree.size(); ++i) {
       in_subtree[subtree[i]] = true;
-      old_dist[i] = dist_[Slot(o, subtree[i])];
-      old_parent_edge[i] = parent_edge_[Slot(o, subtree[i])];
-      dist_[Slot(o, subtree[i])] = kInfiniteWeight;
+      old_dist[i] = dist(o, subtree[i]);
+      old_parent_slot[i] = parent_slot(o, subtree[i]);
+      SetDist(Slot(o, subtree[i]), kInfiniteWeight);
     }
 
     using Entry = std::pair<Weight, NodeId>;
     std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
     for (const NodeId s : subtree) {
-      for (const AdjacencyEntry& entry : graph_->adjacency(s)) {
+      const std::vector<AdjacencyEntry>& adjacency = graph_->adjacency(s);
+      for (uint32_t i = 0; i < adjacency.size(); ++i) {
+        const AdjacencyEntry& entry = adjacency[i];
         if (entry.removed || in_subtree[entry.to]) continue;
-        const Weight base = dist_[Slot(o, entry.to)];
+        const Weight base = dist(o, entry.to);
         if (base == kInfiniteWeight) continue;
         const Weight nd = base + entry.weight;
-        if (nd < dist_[Slot(o, s)]) {
-          dist_[Slot(o, s)] = nd;
-          parent_edge_[Slot(o, s)] = entry.edge_id;
+        if (nd < dist(o, s)) {
+          SetParent(o, s, nd, NarrowSlot(s, i));
           heap.push({nd, s});
         }
       }
@@ -164,30 +201,25 @@ std::vector<TreeChange> SpanningForest::OnEdgeIncreasedOrRemoved(EdgeId edge) {
     while (!heap.empty()) {
       const auto [d, u] = heap.top();
       heap.pop();
-      if (settled[u] || d > dist_[Slot(o, u)]) continue;
+      if (settled[u] || d > dist(o, u)) continue;
       settled[u] = true;
       for (const AdjacencyEntry& entry : graph_->adjacency(u)) {
         if (entry.removed || !in_subtree[entry.to]) continue;
         const Weight nd = d + entry.weight;
-        if (nd < dist_[Slot(o, entry.to)]) {
-          dist_[Slot(o, entry.to)] = nd;
-          parent_edge_[Slot(o, entry.to)] = entry.edge_id;
+        if (nd < dist(o, entry.to)) {
+          SetParent(o, entry.to, nd, AdjacencySlot(entry.to, entry.edge_id));
           heap.push({nd, entry.to});
         }
       }
     }
     for (size_t i = 0; i < subtree.size(); ++i) {
-      const NodeId s = subtree[i];
-      if (dist_[Slot(o, s)] == kInfiniteWeight) {
-        // Disconnected by the removal.
-        parent_edge_[Slot(o, s)] = kInvalidEdge;
-        changes.push_back({o, s});
-      } else if (dist_[Slot(o, s)] != old_dist[i] ||
-                 parent_edge_[Slot(o, s)] != old_parent_edge[i]) {
-        // Distance changed, or the route (and hence the backtracking link)
-        // moved even though the distance survived — possibly onto a
-        // parallel edge to the same parent.
-        changes.push_back({o, s});
+      // The distance changed (possibly to unreachable: the removal
+      // disconnected the node), or the route — and hence the backtracking
+      // link — moved even though the distance survived, possibly onto a
+      // parallel edge to the same parent.
+      if (dist(o, subtree[i]) != old_dist[i] ||
+          parent_slot(o, subtree[i]) != old_parent_slot[i]) {
+        changes.push_back({o, subtree[i]});
       }
     }
   }

@@ -1,8 +1,10 @@
 #include "io/durable_index.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <string>
 #include <thread>
 
 #include "obs/metrics.h"
@@ -25,6 +27,29 @@ obs::Counter* CheckpointRetryCounter() {
   static obs::Counter* const c =
       obs::MetricsRegistry::Global().GetCounter("update.ckpt_retries");
   return c;
+}
+
+// CheckApplicable's rules plus one only the index knows: each AddEdge
+// endpoint must have an adjacency slot left that the codec's backtracking
+// link can address (at most 256: links are one byte in memory). The rows
+// are never re-encoded wider, so a record past that bound could not be
+// applied without aborting, and a logged one could never be replayed.
+Status CheckReplayable(const UpdateRecord& record, const RoadNetwork& graph,
+                       const SignatureIndex& index) {
+  DSIG_RETURN_IF_ERROR(record.CheckApplicable(graph));
+  if (record.op != UpdateRecord::kAddEdge) return Status::Ok();
+  const int link_bits = std::min(index.codec().link_bits(), 8);
+  const size_t link_slots = size_t{1} << link_bits;
+  for (const NodeId end : {record.a, record.b}) {
+    if (graph.degree(end) >= link_slots) {
+      return Status::Corruption(
+          "logged AddEdge endpoint " + std::to_string(end) +
+          " already holds the " + std::to_string(link_slots) +
+          " adjacency slots a " + std::to_string(link_bits) +
+          "-bit backtracking link addresses");
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -104,7 +129,8 @@ StatusOr<DurableUpdater::Recovered> DurableUpdater::Recover(
 
   // Every committed record postdates the checkpoint: re-apply them all.
   for (const UpdateRecord& record : replay->records) {
-    DSIG_RETURN_IF_ERROR(record.CheckApplicable(*result.graph));
+    DSIG_RETURN_IF_ERROR(
+        CheckReplayable(record, *result.graph, *result.index));
     result.updater->updater_.Apply(record);
   }
   result.replayed_records = replay->records.size();
@@ -133,7 +159,7 @@ StatusOr<UpdateStats> DurableUpdater::Apply(const UpdateRecord& record) {
   // Reject malformed records before they reach the log: a record that could
   // not replay must never be written.
   {
-    const Status applicable = record.CheckApplicable(*graph_);
+    const Status applicable = CheckReplayable(record, *graph_, *index_);
     if (!applicable.ok()) {
       return Status::InvalidArgument("rejected update: " +
                                      applicable.message());

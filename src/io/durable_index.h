@@ -109,9 +109,13 @@ class DurableUpdater {
   DurableUpdater& operator=(const DurableUpdater&) = delete;
   ~DurableUpdater();
 
-  // Log-then-apply. On a WAL failure the record is NOT applied, the error
-  // latches, and every later Apply refuses with it. May trigger an
-  // auto-checkpoint (options.checkpoint_interval).
+  // Log-then-apply. A record that could not replay is refused with
+  // InvalidArgument before it is logged: one UpdateRecord::CheckApplicable
+  // rejects, or an AddEdge whose endpoint already holds every adjacency
+  // slot the index's backtracking link can address (1 << link_bits).
+  // Recover reports such a logged record as Corruption. On a WAL failure the
+  // record is NOT applied, the error latches, and every later Apply refuses
+  // with it. May trigger an auto-checkpoint (options.checkpoint_interval).
   StatusOr<UpdateStats> Apply(const UpdateRecord& record);
 
   // Convenience wrappers building the record for the common mutations.

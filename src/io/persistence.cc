@@ -307,6 +307,15 @@ StatusOr<std::unique_ptr<SignatureIndex>> LoadSignatureIndex(
         std::to_string(graph.num_nodes()) + " / " +
         std::to_string(graph.num_edge_slots()) + ")");
   }
+  // Backtracking links and the spanning forest's parent slots are one byte:
+  // no index addresses a node with more adjacency slots than that, and
+  // RebuildForest could not store such a node's parent.
+  if (graph.max_degree() > 256) {
+    return Status::FailedPrecondition(
+        path + ": the network has a node with " +
+        std::to_string(graph.max_degree()) +
+        " adjacency slots; a one-byte backtracking link addresses 256");
+  }
 
   reader.BeginSection();
   const std::vector<uint32_t> raw_objects = reader.ReadVectorU32();

@@ -69,8 +69,9 @@ Status SaveSignatureIndex(const SignatureIndex& index, const std::string& path,
                           const SaveOptions& options = {});
 
 // Loads an index over `graph` (which must be the very network the index was
-// built on — node/edge counts are checked). The loaded index has no attached
-// storage and no forest.
+// built on — node/edge counts are checked, and no node may hold more than
+// the 256 adjacency slots a one-byte link addresses). The loaded index has
+// no attached storage and no forest.
 StatusOr<std::unique_ptr<SignatureIndex>> LoadSignatureIndex(
     const RoadNetwork& graph, const std::string& path,
     const LoadOptions& options = {});

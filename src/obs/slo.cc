@@ -24,13 +24,12 @@ namespace {
 // A ring sized so the slow window always fits under the num_slots - 1
 // snapshot cap, with one spare slot for the live interval.
 WindowOptions RingFor(const SloWindows& windows) {
-  WindowOptions ring;
-  ring.slot_ns = std::max<uint64_t>(windows.slot_ns, 1);
+  const uint64_t slot_ns = std::max<uint64_t>(windows.slot_ns, 1);
   const uint64_t span =
-      (std::max(windows.slow_ns, windows.fast_ns) + ring.slot_ns - 1) /
-      ring.slot_ns;
-  ring.num_slots = static_cast<int>(std::min<uint64_t>(span + 2, 1 << 12));
-  return ring;
+      (std::max(windows.slow_ns, windows.fast_ns) + slot_ns - 1) / slot_ns;
+  return {.slot_ns = slot_ns,
+          .num_slots =
+              static_cast<int>(std::min<uint64_t>(span + 2, 1 << 12))};
 }
 
 double BurnRate(uint64_t total, uint64_t bad, double availability) {

@@ -13,8 +13,7 @@ WindowedHistogram::WindowedHistogram(const WindowOptions& options)
   slots_ = std::make_unique<Slot[]>(static_cast<size_t>(options_.num_slots));
 }
 
-WindowedHistogram::Slot* WindowedHistogram::SlotFor(uint64_t tick,
-                                                    bool* fresh) {
+WindowedHistogram::Slot* WindowedHistogram::SlotFor(uint64_t tick) {
   Slot& slot =
       slots_[tick % static_cast<uint64_t>(options_.num_slots)];
   // Fast path: the slot already belongs to this interval. Acquire pairs with
@@ -25,14 +24,13 @@ WindowedHistogram::Slot* WindowedHistogram::SlotFor(uint64_t tick,
     if (slot.tick.load(std::memory_order_relaxed) != tick) {
       slot.hist.Reset();
       slot.tick.store(tick, std::memory_order_release);
-      if (fresh != nullptr) *fresh = true;
     }
   }
   return &slot;
 }
 
 void WindowedHistogram::RecordAt(double value, uint64_t now_ns) {
-  SlotFor(now_ns / options_.slot_ns, nullptr)->hist.Record(value);
+  SlotFor(now_ns / options_.slot_ns)->hist.Record(value);
 }
 
 void WindowedHistogram::SnapshotWindowAt(uint64_t window_ns, uint64_t now_ns,

@@ -37,14 +37,15 @@
 namespace dsig {
 namespace obs {
 
+// The ring's geometry; every owner sizes its own (obs/slo.cc's RingFor).
 struct WindowOptions {
-  uint64_t slot_ns = 5ull * 1000 * 1000 * 1000;  // 5 s per shard
-  int num_slots = 64;                            // 64 * 5 s covers > 5 min
+  uint64_t slot_ns;  // wall time per shard
+  int num_slots;     // shards in the ring; the widest window is one fewer
 };
 
 class WindowedHistogram {
  public:
-  explicit WindowedHistogram(const WindowOptions& options = {});
+  explicit WindowedHistogram(const WindowOptions& options);
   WindowedHistogram(const WindowedHistogram&) = delete;
   WindowedHistogram& operator=(const WindowedHistogram&) = delete;
 
@@ -78,7 +79,7 @@ class WindowedHistogram {
     Histogram hist;
   };
 
-  Slot* SlotFor(uint64_t tick, bool* fresh);
+  Slot* SlotFor(uint64_t tick);
 
   WindowOptions options_;
   std::unique_ptr<Slot[]> slots_;
@@ -90,7 +91,7 @@ class WindowedHistogram {
 // latency shards on identical interval boundaries.
 class WindowedCounter {
  public:
-  explicit WindowedCounter(const WindowOptions& options = {});
+  explicit WindowedCounter(const WindowOptions& options);
   WindowedCounter(const WindowedCounter&) = delete;
   WindowedCounter& operator=(const WindowedCounter&) = delete;
 

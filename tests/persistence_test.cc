@@ -233,6 +233,36 @@ TEST(SignatureIndexPersistenceTest, RebuildForestEnablesUpdates) {
   (void)stats;
 }
 
+// Backtracking links and the spanning forest's parent slots are one byte,
+// so no index addresses a node with more than 256 adjacency slots. A network
+// that has one (an untrusted checkpoint, say) is refused before
+// RebuildForest could meet a parent edge at slot 256 or beyond.
+TEST(SignatureIndexPersistenceTest, RejectsNodeWithMoreSlotsThanALinkAddresses) {
+  constexpr NodeId kNodes = 300;
+  RoadNetwork line;
+  RoadNetwork star;
+  for (NodeId n = 0; n < kNodes; ++n) {
+    line.AddNode({static_cast<double>(n), 0});
+    star.AddNode({static_cast<double>(n), 0});
+  }
+  for (NodeId n = 0; n + 1 < kNodes; ++n) line.AddEdge(n, n + 1, 1);
+  // Same node and edge-slot counts. Node 299 reaches node 0 only through its
+  // last slot, 297: 299 -> 298 -> 0.
+  for (NodeId n = 1; n < kNodes - 2; ++n) star.AddEdge(kNodes - 1, n, 1);
+  star.AddEdge(kNodes - 1, kNodes - 2, 1);
+  star.AddEdge(kNodes - 2, 0, 1);
+  ASSERT_EQ(star.num_edge_slots(), line.num_edge_slots());
+  ASSERT_GT(star.max_degree(), 256u);
+
+  const auto index = BuildSignatureIndex(line, {0, kNodes - 1}, {});
+  const std::string path = TempPath("index_star.bin");
+  ASSERT_TRUE(SaveSignatureIndex(*index, path).ok());
+  const auto loaded = LoadSignatureIndex(star, path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition)
+      << loaded.status();
+}
+
 TEST(SignatureIndexPersistenceTest, RejectsWrongGraph) {
   const RoadNetwork graph = MakeRandomPlanar({.num_nodes = 300, .seed = 6});
   const RoadNetwork other = MakeRandomPlanar({.num_nodes = 301, .seed = 6});

@@ -400,6 +400,56 @@ TEST_F(ServerFixture, UpdatesAreDurablyAckedWithWalSeq) {
   EXPECT_EQ(updater_->next_seq(), 3u);
 }
 
+// An AddEdge past the backtracking link's width is refused like any other
+// malformed update: an error answer, nothing logged, and the server keeps
+// serving.
+TEST_F(ServerFixture, AddEdgePastTheLinkWidthIsRefusedAndServingGoesOn) {
+  StartServer({});
+  NodeId x = 0;
+  while (index_->object_at(x) != kInvalidObject) ++x;
+  const size_t link_slots = size_t{1} << index_->codec().link_bits();
+  Request update;
+  update.type = RequestType::kUpdate;
+  update.update_op = UpdateRecord::kAddEdge;
+  update.a = x;
+  update.weight = 0.5;
+  // Fill x's adjacency list with shortcuts to non-object nodes.
+  for (NodeId v = 0; graph_->degree(x) < link_slots; ++v) {
+    if (v == x || index_->object_at(v) != kInvalidObject) continue;
+    ++update.id;
+    update.b = v;
+    ASSERT_EQ(MustCall(update).status, ResponseStatus::kOk) << "edge to " << v;
+  }
+  const uint64_t next_seq = updater_->next_seq();
+
+  // Half a unit to an object x is not joined to would be that object's next
+  // hop from x, at a slot the link cannot address.
+  NodeId target = kInvalidNode;
+  for (const NodeId o : objects_) {
+    if (graph_->FindEdge(x, o) == kInvalidEdge) {
+      target = o;
+      break;
+    }
+  }
+  ASSERT_NE(target, kInvalidNode);
+  ++update.id;
+  update.b = target;
+  const Response refused = MustCall(update);
+  EXPECT_EQ(refused.status, ResponseStatus::kError);
+  EXPECT_EQ(updater_->next_seq(), next_seq);
+  EXPECT_EQ(graph_->degree(x), link_slots);
+
+  Request knn;
+  knn.type = RequestType::kKnn;
+  knn.id = ++update.id;
+  knn.node = x;
+  knn.k = 5;
+  knn.knn_type = 1;
+  const Response served = MustCall(knn);
+  EXPECT_EQ(served.status, ResponseStatus::kOk);
+  EXPECT_EQ(served.objects.size(), 5u);
+}
+
 TEST_F(ServerFixture, ExpiredDeadlineAnswersWithoutExecuting) {
   StartServer({});
   Request knn;

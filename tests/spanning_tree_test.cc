@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
+#include <vector>
 
 #include "graph/dijkstra.h"
 #include "graph/graph_generator.h"
@@ -175,26 +177,88 @@ TEST(SpanningForestTest, IncreaseOfUnusedEdgeChangesNothing) {
   ExpectForestMatchesDijkstra(g, forest);
 }
 
+// The narrow distance column holds whole distances up to 2^32 - 2. A
+// distance of exactly 2^32 - 1, its unreachable marker, widens the column
+// to double and keeps its value.
+TEST(SpanningForestTest, WholeDistanceOfTwoPow32MinusOneWidens) {
+  RoadNetwork g;
+  for (int i = 0; i < 3; ++i) g.AddNode({static_cast<double>(i), 0});
+  const EdgeId first = g.AddEdge(0, 1, 1);
+  g.AddEdge(1, 2, 4294967293.0);
+  SpanningForest forest(&g, {0});
+  forest.Build();
+  EXPECT_EQ(forest.dist(0, 2), 4294967294.0);
+  EXPECT_EQ(forest.MemoryBytes(), 5u * 3);
+
+  g.SetEdgeWeight(first, 2);
+  forest.OnEdgeIncreasedOrRemoved(first);
+  EXPECT_EQ(forest.dist(0, 2), 4294967295.0);
+  EXPECT_EQ(forest.MemoryBytes(), 9u * 3);
+  ExpectForestMatchesDijkstra(g, forest);
+  ExpectDerivedLookupsMatchParentEdges(g, forest);
+}
+
+// How a random update sequence draws its weights. Whole weights keep the
+// distance column narrow (5 B per slot); quarter units, from the build on,
+// make it wide (9 B); the third kind stays whole until one fractional edge
+// insertion mid-sequence widens it.
+enum class Weights { kWhole, kQuarter, kWidenMidStream };
+
+struct UpdateCase {
+  uint64_t seed;
+  Weights weights;
+};
+
+// Test names carry the seed; each weight kind has its own prefix.
+void PrintTo(const UpdateCase& c, std::ostream* os) { *os << c.seed; }
+
+std::vector<UpdateCase> CasesWith(Weights weights) {
+  std::vector<UpdateCase> cases;
+  for (const uint64_t seed : {1, 2, 3, 5, 8}) cases.push_back({seed, weights});
+  return cases;
+}
+
 // Property: a random sequence of updates — including parallel edges and
 // removals — leaves the forest identical to a freshly built one, and the
 // derived lookups consistent with the parent edges after every step.
-class SpanningForestUpdateTest : public ::testing::TestWithParam<uint64_t> {};
+class SpanningForestUpdateTest : public ::testing::TestWithParam<UpdateCase> {
+};
 
 TEST_P(SpanningForestUpdateTest, RandomUpdateSequenceMatchesRebuild) {
-  RoadNetwork g = MakeRandomPlanar({.num_nodes = 300, .seed = GetParam()});
-  const std::vector<NodeId> objects = UniformDataset(g, 0.03, GetParam());
+  const uint64_t seed = GetParam().seed;
+  const Weights weights = GetParam().weights;
+  const Weight unit = weights == Weights::kQuarter ? 0.25 : 1;
+  RoadNetwork g = MakeRandomPlanar({.num_nodes = 300, .seed = seed});
+  for (EdgeId e = 0; e < g.num_edge_slots(); ++e) {
+    g.SetEdgeWeight(e, g.edge_weight(e) * unit);
+  }
+  const std::vector<NodeId> objects = UniformDataset(g, 0.03, seed);
   SpanningForest forest(&g, objects);
   forest.Build();
+  const size_t slots = forest.num_objects() * g.num_nodes();
+  EXPECT_EQ(forest.MemoryBytes(),
+            (weights == Weights::kQuarter ? 9 : 5) * slots);
 
-  Random rng(GetParam() * 31 + 1);
+  Random rng(seed * 31 + 1);
   for (int step = 0; step < 60; ++step) {
+    if (weights == Weights::kWidenMidStream && step == 30) {
+      // Half a unit from an object to any other node is a shortcut, so the
+      // object's tree takes a distance of 0.5.
+      EXPECT_EQ(forest.MemoryBytes(), 5 * slots);
+      const NodeId u = (objects[0] + 1) % static_cast<NodeId>(g.num_nodes());
+      forest.OnEdgeAddedOrDecreased(g.AddEdge(objects[0], u, 0.5));
+      EXPECT_EQ(forest.dist(0, u), 0.5);
+      EXPECT_EQ(forest.MemoryBytes(), 9 * slots);
+      ExpectForestMatchesDijkstra(g, forest);
+      ExpectDerivedLookupsMatchParentEdges(g, forest);
+    }
     const int action = static_cast<int>(rng.NextUint64(5));
     if (action == 0) {
       // Random new edge.
       const NodeId u = static_cast<NodeId>(rng.NextUint64(g.num_nodes()));
       NodeId v = static_cast<NodeId>(rng.NextUint64(g.num_nodes()));
       if (v == u) v = (v + 1) % static_cast<NodeId>(g.num_nodes());
-      const EdgeId e = g.AddEdge(u, v, rng.NextInt(1, 10));
+      const EdgeId e = g.AddEdge(u, v, rng.NextInt(1, 10) * unit);
       forest.OnEdgeAddedOrDecreased(e);
       ExpectDerivedLookupsMatchParentEdges(g, forest);
       continue;
@@ -205,15 +269,15 @@ TEST_P(SpanningForestUpdateTest, RandomUpdateSequenceMatchesRebuild) {
       // Parallel twin of a live edge, often with the same weight (a tie the
       // original keeps until it is raised or removed).
       const auto [u, v] = g.edge_endpoints(e);
-      const Weight w =
-          rng.NextUint64(2) == 0 ? g.edge_weight(e) : rng.NextInt(1, 10);
+      const Weight w = rng.NextUint64(2) == 0 ? g.edge_weight(e)
+                                              : rng.NextInt(1, 10) * unit;
       forest.OnEdgeAddedOrDecreased(g.AddEdge(u, v, w));
     } else if (action == 2) {
       g.RemoveEdge(e);
       forest.OnEdgeIncreasedOrRemoved(e);
     } else {
       const Weight old_w = g.edge_weight(e);
-      const Weight new_w = rng.NextInt(1, 10);
+      const Weight new_w = rng.NextInt(1, 10) * unit;
       if (new_w == old_w) continue;
       g.SetEdgeWeight(e, new_w);
       if (new_w < old_w) {
@@ -225,10 +289,18 @@ TEST_P(SpanningForestUpdateTest, RandomUpdateSequenceMatchesRebuild) {
     ExpectDerivedLookupsMatchParentEdges(g, forest);
   }
   ExpectForestMatchesDijkstra(g, forest);
+  EXPECT_EQ(forest.MemoryBytes(),
+            (weights == Weights::kWhole ? 5 : 9) * slots);
 }
 
+// `Seeds` is the whole-weight sequence.
 INSTANTIATE_TEST_SUITE_P(Seeds, SpanningForestUpdateTest,
-                         ::testing::Values(1, 2, 3, 5, 8));
+                         ::testing::ValuesIn(CasesWith(Weights::kWhole)));
+INSTANTIATE_TEST_SUITE_P(QuarterWeights, SpanningForestUpdateTest,
+                         ::testing::ValuesIn(CasesWith(Weights::kQuarter)));
+INSTANTIATE_TEST_SUITE_P(
+    WidenMidStream, SpanningForestUpdateTest,
+    ::testing::ValuesIn(CasesWith(Weights::kWidenMidStream)));
 
 }  // namespace
 }  // namespace dsig

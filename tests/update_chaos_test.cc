@@ -298,6 +298,79 @@ TEST(UpdateChaosTest, AutoCheckpointFiresOnInterval) {
       std::filesystem::exists(DurableUpdater::IndexCheckpointPath(dir, 0)));
 }
 
+// --- link-width overflow ---------------------------------------------------
+
+// A 10 x 10 grid has degree 4, so its links are 3 bits wide: a node holds
+// at most 8 adjacency slots. Node 44 is interior (4 slots); four shortcuts
+// of half a unit fill it, and a fifth, to an object it is not yet joined
+// to, would be the object's next hop from node 44 at slot 8, past the link.
+struct LinkOverflowCase {
+  RoadNetwork graph = MakeGrid({.width = 10, .height = 10});
+  std::vector<NodeId> objects = {0, 9, 55, 90, 99};
+  std::vector<UpdateRecord> fits = {
+      UpdateRecord::Add(44, 0, 0.5), UpdateRecord::Add(44, 9, 0.5),
+      UpdateRecord::Add(44, 90, 0.5), UpdateRecord::Add(44, 99, 0.5)};
+  UpdateRecord overflow = UpdateRecord::Add(44, 55, 0.5);
+};
+
+TEST(UpdateChaosTest, AddEdgeBeyondTheLinkWidthIsRefusedBeforeLogging) {
+  LinkOverflowCase c;
+  const std::string dir = TempDir("chaos_link_overflow");
+  auto index = BuildSignatureIndex(c.graph, c.objects, {.t = 5, .c = 2});
+  ASSERT_EQ(index->codec().link_bits(), 3);
+  auto live = DurableUpdater::Initialize(dir, &c.graph, index.get(), {});
+  ASSERT_TRUE(live.ok()) << live.status();
+  for (const UpdateRecord& record : c.fits) {
+    ASSERT_TRUE((*live)->Apply(record).ok());
+  }
+  ASSERT_EQ(c.graph.degree(44), 8u);
+  const auto wal_bytes =
+      std::filesystem::file_size(DurableUpdater::WalPath(dir));
+
+  const auto refused = (*live)->Apply(c.overflow);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+      << refused.status();
+  EXPECT_EQ(c.graph.degree(44), 8u);
+  EXPECT_EQ((*live)->next_seq(), 5u);
+  EXPECT_EQ(std::filesystem::file_size(DurableUpdater::WalPath(dir)),
+            wal_bytes);
+  // The refusal latches nothing: the writer keeps applying.
+  EXPECT_TRUE((*live)->Apply(UpdateRecord::SetWeight(0, 2)).ok());
+  ASSERT_TRUE((*live)->Close().ok());
+
+  RecoverOptions verify;
+  verify.verify = true;
+  auto recovered = DurableUpdater::Recover(dir, {}, verify);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ(recovered->replayed_records, c.fits.size() + 1);
+}
+
+// A log that already carries such a record (written by a build without the
+// refusal, or forged) must not abort recovery: it reports Corruption.
+TEST(UpdateChaosTest, LoggedLinkOverflowRecoversToCorruption) {
+  LinkOverflowCase c;
+  const std::string dir = TempDir("chaos_link_overflow_log");
+  auto index = BuildSignatureIndex(c.graph, c.objects, {.t = 5, .c = 2});
+  auto live = DurableUpdater::Initialize(dir, &c.graph, index.get(), {});
+  ASSERT_TRUE(live.ok()) << live.status();
+  ASSERT_TRUE((*live)->Close().ok());
+  {
+    auto log = UpdateLog::Open(DurableUpdater::WalPath(dir));
+    ASSERT_TRUE(log.ok()) << log.status();
+    for (const UpdateRecord& record : c.fits) {
+      ASSERT_TRUE((*log)->Append(record).ok());
+    }
+    ASSERT_TRUE((*log)->Append(c.overflow).ok());
+    ASSERT_TRUE((*log)->Close().ok());
+  }
+
+  auto recovered = DurableUpdater::Recover(dir);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kCorruption)
+      << recovered.status();
+}
+
 // --- concurrency (the TSan targets) --------------------------------------
 
 // One edge toggles between two weights, flipping the network between two

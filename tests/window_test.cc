@@ -14,10 +14,7 @@ namespace {
 constexpr uint64_t kSec = 1000ull * 1000 * 1000;
 
 WindowOptions SmallRing() {
-  WindowOptions options;
-  options.slot_ns = kSec;  // 1 s shards
-  options.num_slots = 8;
-  return options;
+  return {.slot_ns = kSec, .num_slots = 8};  // 1 s shards
 }
 
 TEST(WindowedHistogramTest, SnapshotCoversOnlyTheWindow) {
@@ -86,10 +83,7 @@ TEST(WindowedHistogramTest, ResetClearsEverything) {
 }
 
 TEST(WindowedHistogramTest, PercentilesComeFromTheMergedShards) {
-  WindowOptions options;
-  options.slot_ns = kSec;
-  options.num_slots = 64;
-  WindowedHistogram w(options);
+  WindowedHistogram w({.slot_ns = kSec, .num_slots = 64});
   // 1000 samples spread over 10 seconds: values 1..1000.
   for (int i = 0; i < 1000; ++i) {
     w.RecordAt(static_cast<double>(i + 1),
@@ -125,10 +119,8 @@ TEST(WindowedHistogramTest, ConcurrentRecordersDontLoseSamples) {
   // 4 threads x 10k records into the same live slot; rotation and the
   // lock-free record path must not drop or double-count. (TSan builds of
   // this test are the data-race oracle.)
-  WindowOptions options;
-  options.slot_ns = 3600ull * kSec;  // one giant slot: no rotation mid-test
-  options.num_slots = 4;
-  WindowedHistogram w(options);
+  // One giant slot: no rotation mid-test.
+  WindowedHistogram w({.slot_ns = 3600ull * kSec, .num_slots = 4});
   constexpr int kThreads = 4;
   constexpr int kPerThread = 10000;
   std::vector<std::thread> threads;
@@ -150,10 +142,7 @@ TEST(WindowedHistogramTest, ConcurrentRotationAndSnapshots) {
   // Recorders each walk 48 one-second ticks, so slots rotate while other
   // recorders and a reader touch the ring. 48 ticks on a 64-slot ring
   // recycle no slot, so every sample must survive into the final snapshot.
-  WindowOptions options;
-  options.slot_ns = kSec;
-  options.num_slots = 64;
-  WindowedHistogram w(options);
+  WindowedHistogram w({.slot_ns = kSec, .num_slots = 64});
   constexpr int kThreads = 4;
   constexpr int kTicks = 48;
   constexpr int kPerTick = 200;
