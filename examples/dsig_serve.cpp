@@ -60,7 +60,6 @@
 #include "core/signature_builder.h"
 #include "graph/graph_generator.h"
 #include "io/durable_index.h"
-#include "obs/simd_metrics.h"
 #include "serve/server.h"
 #include "util/flags.h"
 #include "util/simd/simd.h"
@@ -259,9 +258,7 @@ int main(int argc, char** argv) {
     }
   }
   // Record the SIMD dispatch state before serving: the line makes every
-  // server log self-describing, the gauge flows into /stats exports and
-  // serve_report.json.
-  obs::PublishSimdMetrics();
+  // server log self-describing.
   std::printf("simd: %s\n", simd::CpuFeatureString().c_str());
   std::printf("SERVE_READY port=%u nodes=%zu objects=%zu tenants=%zu dir=%s\n",
               (*server)->port(), owned_graph->num_nodes(),

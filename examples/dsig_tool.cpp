@@ -79,7 +79,6 @@
 #include "io/persistence.h"
 #include "obs/metrics.h"
 #include "obs/op_counters.h"
-#include "obs/simd_metrics.h"
 #include "obs/trace.h"
 #include "query/batch.h"
 #include "query/knn_query.h"
@@ -405,7 +404,6 @@ int Stats(const Flags& flags) {
   PublishOpCounters();
   obs::PublishThreadPoolMetrics();
   PublishRowCacheMetrics();
-  obs::PublishSimdMetrics();
   PublishHubLabelMetrics(loaded.index->hub_labels());
   // Human-readable dispatch line on stderr; stdout stays machine-readable.
   std::fprintf(stderr, "simd: %s\n", simd::CpuFeatureString().c_str());

@@ -1,14 +1,12 @@
 // Runtime kernel dispatch: detect what the CPU supports, intersect with what
-// this binary compiled, apply operator overrides, and publish one atomic
-// table pointer that the query layer loads on every kernel call.
+// this binary compiled, apply the DSIG_FORCE_SCALAR pin, and publish one
+// atomic table pointer that the query layer loads on every kernel call.
 #include "util/simd/simd.h"
 
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
-
-#include "util/logging.h"
 
 namespace dsig {
 namespace simd {
@@ -21,8 +19,6 @@ const KernelTable* TableFor(SimdLevel level) {
       return ScalarKernels();
     case SimdLevel::kSse42:
       return Sse42Kernels();
-    case SimdLevel::kAvx2:
-      return Avx2Kernels();
     case SimdLevel::kNeon:
       return NeonKernels();
   }
@@ -41,12 +37,6 @@ bool CpuSupports(SimdLevel level) {
 #else
       return false;
 #endif
-    case SimdLevel::kAvx2:
-#if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("avx2");
-#else
-      return false;
-#endif
     case SimdLevel::kNeon:
 #if defined(__aarch64__)
       return true;
@@ -62,7 +52,7 @@ bool Usable(SimdLevel level) {
 }
 
 constexpr SimdLevel kLadder[] = {SimdLevel::kScalar, SimdLevel::kSse42,
-                                 SimdLevel::kAvx2, SimdLevel::kNeon};
+                                 SimdLevel::kNeon};
 
 SimdLevel BestUsableLevel() {
   SimdLevel best = SimdLevel::kScalar;
@@ -77,19 +67,8 @@ bool EnvTruthy(const char* name) {
   return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
 }
 
-bool ParseLevelName(const char* s, SimdLevel* out) {
-  for (SimdLevel level : kLadder) {
-    if (std::strcmp(s, SimdLevelName(level)) == 0) {
-      *out = level;
-      return true;
-    }
-  }
-  return false;
-}
-
 std::atomic<const KernelTable*> g_active_table{nullptr};
 std::atomic<int> g_active_level{static_cast<int>(SimdLevel::kScalar)};
-SimdLevel g_detected_level = SimdLevel::kScalar;
 std::once_flag g_init_once;
 
 void StoreActive(SimdLevel level) {
@@ -100,29 +79,20 @@ void StoreActive(SimdLevel level) {
 }
 
 void InitDispatch() {
-  g_detected_level = BestUsableLevel();
-  SimdLevel chosen = g_detected_level;
-  if (EnvTruthy("DSIG_FORCE_SCALAR")) {
-    chosen = SimdLevel::kScalar;
-  } else if (const char* req = std::getenv("DSIG_SIMD");
-             req != nullptr && req[0] != '\0') {
-    SimdLevel parsed;
-    if (!ParseLevelName(req, &parsed)) {
-      DSIG_LOG(Warning) << "DSIG_SIMD=" << req
-                     << " is not a dispatch level; using "
-                     << SimdLevelName(chosen);
-    } else if (!Usable(parsed)) {
-      DSIG_LOG(Warning) << "DSIG_SIMD=" << req
-                     << " not available on this cpu/build; using "
-                     << SimdLevelName(chosen);
-    } else {
-      chosen = parsed;
-    }
-  }
-  StoreActive(chosen);
+  StoreActive(EnvTruthy("DSIG_FORCE_SCALAR") ? SimdLevel::kScalar
+                                              : BestUsableLevel());
 }
 
 void EnsureInit() { std::call_once(g_init_once, InitDispatch); }
+
+// Pins the active level; false (level unchanged) when the variant was not
+// compiled or the CPU lacks it.
+bool SetActiveLevel(SimdLevel level) {
+  EnsureInit();
+  if (!Usable(level)) return false;
+  StoreActive(level);
+  return true;
+}
 
 }  // namespace
 
@@ -140,11 +110,6 @@ SimdLevel ActiveLevel() {
   return static_cast<SimdLevel>(g_active_level.load(std::memory_order_relaxed));
 }
 
-SimdLevel DetectedLevel() {
-  EnsureInit();
-  return g_detected_level;
-}
-
 std::vector<SimdLevel> AvailableLevels() {
   EnsureInit();
   std::vector<SimdLevel> levels;
@@ -152,13 +117,6 @@ std::vector<SimdLevel> AvailableLevels() {
     if (Usable(level)) levels.push_back(level);
   }
   return levels;
-}
-
-bool SetActiveLevel(SimdLevel level) {
-  EnsureInit();
-  if (!Usable(level)) return false;
-  StoreActive(level);
-  return true;
 }
 
 SimdOverride::SimdOverride(SimdLevel level)
@@ -174,8 +132,6 @@ const char* SimdLevelName(SimdLevel level) {
       return "scalar";
     case SimdLevel::kSse42:
       return "sse4.2";
-    case SimdLevel::kAvx2:
-      return "avx2";
     case SimdLevel::kNeon:
       return "neon";
   }

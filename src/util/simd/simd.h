@@ -4,13 +4,15 @@
 // compare one small category byte per object (range filtering, kNN
 // bucketing, observer selection), accumulate distances (aggregates), and
 // partition object-table rows into near/far (reverse kNN). Each is a
-// textbook 16/32-wide compare+movemask or widened accumulate, so this layer
+// textbook 16-wide compare+movemask or widened accumulate, so this layer
 // ships them as *kernels*: a table of per-kernel function pointers with a
-// generic scalar baseline that is always built, plus SSE4.2 / AVX2 (x86) and
-// NEON (aarch64) variants compiled in their own translation units with
-// per-TU ISA flags. One binary serves any fleet machine — the best variant
-// the running CPU supports is resolved once at startup, and tests or
-// operators can pin any compiled level at runtime.
+// generic scalar baseline that is always built, plus one vector level per
+// ISA — SSE4.2 on x86-64, NEON on aarch64 — compiled in its own
+// translation unit with per-TU ISA flags. One binary serves any fleet
+// machine: the vector level is used when the running CPU supports it, and
+// tests or harnesses can pin any compiled level at runtime. A second vector
+// level on one ISA joins only with an end-to-end win beyond the ±10% noise
+// floor (ARCHITECTURE.md).
 //
 // Bit-identical contract: every kernel's result — including the order of
 // extracted indices and the floating-point summation tree — is defined by
@@ -21,9 +23,6 @@
 //
 // Overrides (checked once, at first use):
 //   DSIG_FORCE_SCALAR=1   pin the generic scalar kernels
-//   DSIG_SIMD=LEVEL       pin a level by name (scalar|sse4.2|avx2|neon);
-//                         levels not compiled or not supported fall back to
-//                         the best available one
 // plus the SimdOverride RAII hook for tests and harnesses.
 #ifndef DSIG_UTIL_SIMD_SIMD_H_
 #define DSIG_UTIL_SIMD_SIMD_H_
@@ -36,13 +35,11 @@
 namespace dsig {
 namespace simd {
 
-// Dispatch levels, in strength order. On x86 the ladder is scalar -> SSE4.2
-// -> AVX2; on aarch64 it is scalar -> NEON. Values are stable (exported as
-// the simd.dispatch_level gauge and recorded in bench reports).
+// Dispatch levels: scalar everywhere, plus SSE4.2 on x86 or NEON on
+// aarch64. Value 2 is retired.
 enum class SimdLevel : int {
   kScalar = 0,
   kSse42 = 1,
-  kAvx2 = 2,
   kNeon = 3,
 };
 
@@ -89,29 +86,21 @@ struct KernelTable {
 };
 
 // The active kernel table. First call detects CPU features, applies the
-// DSIG_FORCE_SCALAR / DSIG_SIMD environment overrides, and caches the
-// result; afterwards this is one atomic load.
+// DSIG_FORCE_SCALAR pin, and caches the result; afterwards this is one
+// atomic load.
 const KernelTable& Kernels();
 
 // The level Kernels() currently dispatches to.
 SimdLevel ActiveLevel();
-
-// The strongest level this binary compiled *and* this CPU supports,
-// ignoring overrides.
-SimdLevel DetectedLevel();
 
 // Levels compiled into this binary and supported by this CPU (always
 // includes kScalar, ascending). Tests and benches iterate this to cover
 // every reachable dispatch path.
 std::vector<SimdLevel> AvailableLevels();
 
-// Pins the active level. Returns false (level unchanged) when the variant
-// was not compiled or the CPU lacks it. Not intended for concurrent use
-// with running queries — pin before serving, or from a quiesced test.
-bool SetActiveLevel(SimdLevel level);
-
 // RAII pin for tests/harnesses: pins `level` for its lifetime, restores the
-// previous level on destruction.
+// previous level on destruction. Not intended for concurrent use with
+// running queries — pin before serving, or from a quiesced test.
 class SimdOverride {
  public:
   explicit SimdOverride(SimdLevel level);
@@ -131,15 +120,15 @@ class SimdOverride {
 const char* SimdLevelName(SimdLevel level);
 
 // Human-readable summary of what the CPU offers vs what this binary built,
-// e.g. "sse4.2 avx2 (compiled: scalar sse4.2 avx2; active: avx2)". Printed
-// by `dsig_tool stats` and the server startup log.
+// e.g. "cpu: sse4.2; compiled: scalar sse4.2; active: sse4.2". This is how
+// the level is reported: `dsig_tool stats` prints it on stderr and the
+// server on startup, each as a `simd:` line.
 std::string CpuFeatureString();
 
 // Per-variant tables; null when the variant is not compiled into this
 // binary. Defined one per TU so each can carry its own ISA flags.
 const KernelTable* ScalarKernels();  // never null
 const KernelTable* Sse42Kernels();
-const KernelTable* Avx2Kernels();
 const KernelTable* NeonKernels();
 
 }  // namespace simd

@@ -179,7 +179,9 @@ TEST(HubLabelsTest, LabelsAreCanonical) {
     // node's own rank at distance 0 somewhere in the label.
     bool self_seen = false;
     for (size_t i = 0; i < len; ++i) {
-      if (i > 0) ASSERT_LT(hubs[i - 1], hubs[i]) << "node " << n;
+      if (i > 0) {
+        ASSERT_LT(hubs[i - 1], hubs[i]) << "node " << n;
+      }
       ASSERT_GE(dists[i], 0.0);
       if (dists[i] == 0.0) self_seen = true;
     }

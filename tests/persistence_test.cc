@@ -318,7 +318,8 @@ TEST(SignatureIndexPersistenceTest, HubLabelSectionRoundTrips) {
 
   // Loads (including a deep Verify, which covers VerifyStructure) and the
   // tier answers exactly what the in-memory build answers.
-  auto loaded_or = LoadSignatureIndex(graph, path, {.verify = true});
+  auto loaded_or =
+      LoadSignatureIndex(graph, path, {.verify = true, .faults = {}});
   ASSERT_TRUE(loaded_or.ok()) << loaded_or.status();
   const auto& loaded = *loaded_or;
   ASSERT_NE(loaded->hub_labels(), nullptr);
@@ -354,7 +355,8 @@ TEST(SignatureIndexPersistenceTest, FilesWithoutLabelsStillLoad) {
                                          {.t = 5, .c = 2});
   const std::string path = TempPath("index_nolabels.bin");
   ASSERT_TRUE(SaveSignatureIndex(*index, path).ok());
-  auto loaded_or = LoadSignatureIndex(graph, path, {.verify = true});
+  auto loaded_or =
+      LoadSignatureIndex(graph, path, {.verify = true, .faults = {}});
   ASSERT_TRUE(loaded_or.ok()) << loaded_or.status();
   EXPECT_EQ((*loaded_or)->hub_labels(), nullptr);
 }
