@@ -50,6 +50,20 @@ double MeanLiveEdgeWeight(const RoadNetwork& graph) {
   return count == 0 ? 1.0 : sum / static_cast<double>(count);
 }
 
+// Whether every path length is an exact double: every live weight a whole
+// number and their total below 2^53. Only then does the batch flag's tie
+// test d(p) + w == d(u) agree with the label query's comparison of sums.
+bool PathSumsAreExact(const RoadNetwork& graph) {
+  double total = 0;
+  for (EdgeId e = 0; e < graph.num_edge_slots(); ++e) {
+    if (graph.edge_removed(e)) continue;
+    const Weight w = graph.edge_weight(e);
+    if (w != std::trunc(w)) return false;
+    total += w;
+  }
+  return total < 0x1p53;
+}
+
 using MinHeap = std::priority_queue<std::pair<Weight, NodeId>,
                                     std::vector<std::pair<Weight, NodeId>>,
                                     std::greater<>>;
@@ -256,6 +270,127 @@ std::vector<NodeId> GreedyCoverOrder(const LiveCsr& csr,
   return order;
 }
 
+// A growing label's entry, 12 B rather than 16: the labels are the build's
+// largest structure, and the prune test reads them entry by entry.
+struct [[gnu::packed, gnu::aligned(4)]] HubEntry {
+  uint32_t hub;  // rank
+  Weight dist;
+};
+
+// Per node, the entries of every finished batch, ascending by hub rank.
+using GrowingLabels = std::vector<std::vector<HubEntry>>;
+
+// An entry a search found: the node, at its distance from the root.
+struct LabelEntry {
+  NodeId node;
+  Weight dist;
+};
+
+// One participant's pruned-search scratch, 17 B per node. `root_dist` holds
+// the root's label scattered by hub rank and +inf elsewhere, so the prune
+// test needs no membership check; `dist` is +inf off the current search and
+// -1 once settled. Both, and `flags`, are reset entry by entry after each
+// root. Cache-line aligned: the vectors' ends move on every push, and must
+// not share a line with a sibling participant's.
+struct alignas(64) PrunedSearch {
+  static constexpr uint8_t kBlocked = 1;      // an earlier root of the batch
+                                              // lies on a shortest path
+  static constexpr uint8_t kEntry = 2;        // holds an entry for the root
+  static constexpr uint8_t kNextToEntry = 4;  // adjacent to such a node
+
+  explicit PrunedSearch(size_t n)
+      : root_dist(n, kInfiniteWeight), dist(n, kInfiniteWeight), flags(n, 0) {}
+
+  // The search from `root`, of rank `rank`, in the batch that starts at rank
+  // `batch_begin`: appends the root's entries to `found` and returns the
+  // settles the one-root-at-a-time loop would have pruned.
+  uint64_t Run(const LiveCsr& csr, const std::vector<uint32_t>& rank_of,
+               const GrowingLabels& labels, NodeId root, uint32_t rank,
+               uint32_t batch_begin);
+
+  std::vector<Weight> root_dist;
+  std::vector<Weight> dist;
+  std::vector<uint8_t> flags;
+  std::vector<NodeId> reached;
+  std::vector<std::pair<Weight, NodeId>> heap;  // a min-heap
+  std::vector<LabelEntry> found;
+};
+
+uint64_t PrunedSearch::Run(const LiveCsr& csr,
+                           const std::vector<uint32_t>& rank_of,
+                           const GrowingLabels& labels, NodeId root,
+                           uint32_t rank, uint32_t batch_begin) {
+  const std::vector<HubEntry>& root_label = labels[root];
+  for (const HubEntry& e : root_label) root_dist[e.hub] = e.dist;
+  const auto push = [this](Weight d, NodeId v) {
+    heap.push_back({d, v});
+    std::push_heap(heap.begin(), heap.end(), std::greater<>());
+  };
+  dist[root] = 0;
+  reached.push_back(root);
+  push(0, root);
+  // Tentative nodes without kBlocked. Once there are none, every node left
+  // to settle is blocked or pruned, and gets no entry.
+  size_t open = 1;
+  while (open > 0) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+    const auto [d, u] = heap.back();
+    heap.pop_back();
+    if (d > dist[u]) continue;  // stale or settled
+    dist[u] = -1;
+    if ((flags[u] & kBlocked) == 0) --open;
+    // Prune: if the labels of the earlier batches already certify
+    // d(root, u) <= d through an earlier hub, u needs no entry for this
+    // root and the search need not expand it.
+    const std::vector<HubEntry>& label = labels[u];
+    size_t i = 0;
+    while (i < label.size() && label[i].dist + root_dist[label[i].hub] > d) ++i;
+    if (i < label.size()) continue;
+    // An earlier root of this batch on a shortest path to u (u itself, or
+    // one behind a tight predecessor) would have pruned u had the roots run
+    // one at a time: u gets no entry, but is expanded to pass the flag on.
+    if (rank_of[u] >= batch_begin && rank_of[u] < rank) flags[u] |= kBlocked;
+    const uint8_t blocked = flags[u] & kBlocked;
+    if (blocked == 0) {
+      flags[u] |= kEntry;
+      found.push_back({u, d});
+    }
+    for (const LiveCsr::Arc* a = csr.begin(u); a != csr.end(u); ++a) {
+      const Weight nd = d + a->weight;
+      Weight& to_dist = dist[a->to];
+      uint8_t& to_flags = flags[a->to];
+      if (blocked == 0) to_flags |= kNextToEntry;
+      if (nd < to_dist) {
+        if (to_dist == kInfiniteWeight) {
+          reached.push_back(a->to);
+        } else if ((to_flags & kBlocked) == 0) {
+          --open;
+        }
+        to_dist = nd;
+        to_flags = static_cast<uint8_t>((to_flags & ~kBlocked) | blocked);
+        if (blocked == 0) ++open;
+        push(nd, a->to);
+      } else if (nd == to_dist && blocked != 0 &&
+                 (to_flags & kBlocked) == 0) {
+        to_flags |= kBlocked;
+        --open;
+      }
+    }
+  }
+  // The one-root-at-a-time loop settles every neighbour of the root's
+  // entries and prunes those that are not entries themselves.
+  uint64_t pruned = 0;
+  for (const HubEntry& e : root_label) root_dist[e.hub] = kInfiniteWeight;
+  for (const NodeId v : reached) {
+    if ((flags[v] & (kEntry | kNextToEntry)) == kNextToEntry) ++pruned;
+    dist[v] = kInfiniteWeight;
+    flags[v] = 0;
+  }
+  reached.clear();
+  heap.clear();
+  return pruned;
+}
+
 }  // namespace
 
 std::shared_ptr<HubLabels> HubLabels::Build(const RoadNetwork& graph,
@@ -280,57 +415,56 @@ std::shared_ptr<HubLabels> HubLabels::Build(const RoadNetwork& graph,
 
   // Per-node growing labels; appended in rank order, so each stays sorted
   // ascending by hub rank for free.
-  std::vector<std::vector<uint32_t>> hub_of(n);
-  std::vector<std::vector<double>> dist_of(n);
+  GrowingLabels growing(n);
 
-  // Pruned Dijkstra per root, in rank order. `root_dist` holds the root's
-  // label scattered by hub rank and +inf elsewhere, so the prune test needs
-  // no membership check; `dist` is +inf off the current search, -1 once
-  // settled. Both are reset entry by entry after each root.
-  std::vector<Weight> root_dist(n, kInfiniteWeight);
-  std::vector<Weight> dist(n, kInfiniteWeight);
-  std::vector<NodeId> reached;
+  // Pruned searches in batches of consecutive ranks; the roots of a batch
+  // search concurrently, one participant per thread of the pool's
+  // ParallelFor, and their entries join the labels in rank order once the
+  // batch ends. Batches grow with the rank, as the searches shrink.
+  const size_t participants = pool == nullptr ? 1 : pool->num_threads();
+  const bool batched = participants > 1 && PathSumsAreExact(graph);
+  std::vector<PrunedSearch> searches(participants, PrunedSearch(n));
   uint64_t pruned = 0;
-  MinHeap queue;
-
-  for (uint32_t rank = 0; rank < n; ++rank) {
-    const NodeId root = order[rank];
-    for (size_t i = 0; i < hub_of[root].size(); ++i) {
-      root_dist[hub_of[root][i]] = dist_of[root][i];
-    }
-    dist[root] = 0;
-    reached.push_back(root);
-    queue.push({0, root});
-    while (!queue.empty()) {
-      const auto [d, u] = queue.top();
-      queue.pop();
-      if (d > dist[u]) continue;  // stale or settled
-      dist[u] = -1;
-      // Prune: if the labels built so far already certify d(root, u) <= d
-      // through an earlier hub, u needs no entry for this root and the
-      // search need not expand it.
-      std::vector<uint32_t>& hubs = hub_of[u];
-      std::vector<double>& hub_dists = dist_of[u];
-      size_t i = 0;
-      while (i < hubs.size() && hub_dists[i] + root_dist[hubs[i]] > d) ++i;
-      if (i < hubs.size()) {
-        ++pruned;
-        continue;
+  for (size_t begin = 0; begin < n;) {
+    const size_t end = std::min(
+        n, begin + (batched ? std::max(participants,
+                                       std::min<size_t>(begin / 4, 512))
+                            : 1));
+    // Per root: its entries, found[first, last) of the participant that
+    // ran it, and its pruned settles.
+    struct RootResult {
+      const PrunedSearch* search;
+      size_t first;
+      size_t last;
+      uint64_t pruned;
+    };
+    std::vector<RootResult> results(end - begin);
+    std::atomic<size_t> next_rank{begin};
+    const auto search = [&](size_t participant) {
+      PrunedSearch& s = searches[participant];
+      for (size_t rank = next_rank++; rank < end; rank = next_rank++) {
+        const size_t first = s.found.size();
+        const uint64_t root_pruned =
+            s.Run(csr, rank_of, growing, order[rank],
+                  static_cast<uint32_t>(rank), static_cast<uint32_t>(begin));
+        results[rank - begin] = {&s, first, s.found.size(), root_pruned};
       }
-      hubs.push_back(rank);
-      hub_dists.push_back(d);
-      for (const LiveCsr::Arc* a = csr.begin(u); a != csr.end(u); ++a) {
-        const Weight nd = d + a->weight;
-        if (nd < dist[a->to]) {
-          if (dist[a->to] == kInfiniteWeight) reached.push_back(a->to);
-          dist[a->to] = nd;
-          queue.push({nd, a->to});
-        }
-      }
+    };
+    if (end - begin == 1) {
+      search(0);
+    } else {
+      pool->ParallelFor(participants, search);
     }
-    for (const uint32_t h : hub_of[root]) root_dist[h] = kInfiniteWeight;
-    for (const NodeId v : reached) dist[v] = kInfiniteWeight;
-    reached.clear();
+    for (size_t rank = begin; rank < end; ++rank) {
+      const RootResult& r = results[rank - begin];
+      for (size_t i = r.first; i < r.last; ++i) {
+        const LabelEntry& e = r.search->found[i];
+        growing[e.node].push_back({static_cast<uint32_t>(rank), e.dist});
+      }
+      pruned += r.pruned;
+    }
+    for (PrunedSearch& s : searches) s.found.clear();
+    begin = end;
   }
   labels->pruned_settles_ = pruned;
 
@@ -339,15 +473,17 @@ std::shared_ptr<HubLabels> HubLabels::Build(const RoadNetwork& graph,
   std::vector<uint64_t>& offsets = labels->offsets_;
   offsets.assign(n + 1, 0);
   for (NodeId v = 0; v < n; ++v) {
-    offsets[v + 1] = offsets[v] + hub_of[v].size();
+    offsets[v + 1] = offsets[v] + growing[v].size();
   }
   labels->hubs_.resize(offsets[n]);
   labels->dists_.resize(offsets[n]);
   const auto flatten = [&](size_t v) {
-    std::copy(hub_of[v].begin(), hub_of[v].end(),
-              labels->hubs_.begin() + static_cast<ptrdiff_t>(offsets[v]));
-    std::copy(dist_of[v].begin(), dist_of[v].end(),
-              labels->dists_.begin() + static_cast<ptrdiff_t>(offsets[v]));
+    uint64_t i = offsets[v];
+    for (const HubEntry& e : growing[v]) {
+      labels->hubs_[i] = e.hub;
+      labels->dists_[i] = e.dist;
+      ++i;
+    }
   };
   if (pool != nullptr) {
     pool->ParallelFor(n, flatten);

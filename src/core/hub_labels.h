@@ -15,8 +15,29 @@
 // first — if they certify d(r, u) <= d through an earlier hub, u is pruned:
 // it gets no entry for r and the search does not expand it. Early roots
 // therefore build big trees and every later root's tree collapses to a thin
-// residual, which is what keeps labels short. Root processing is inherently
-// sequential (each root's pruning consults every earlier root's entries).
+// residual, which is what keeps labels short. The result is the canonical
+// labeling for the order: L(v) holds (r, d(r, v)) exactly when no node
+// ranked before r lies on any shortest r-v path.
+//
+// The roots run in batches of consecutive ranks [b, e), whose searches run
+// concurrently on the pool's T threads (ParallelFor's caller and its T - 1
+// helpers). A batch holds min(b / 4, 512) roots, at least T: early roots are
+// few and costly, later ones many and cheap. Each search is pruned by the
+// labels of the earlier batches, and by a rank flag for the earlier roots of
+// its own batch (the PLaNT rule: Lakhotia et al., "Planting Trees for
+// scalable and efficient Canonical Hub Labeling", PVLDB 13(4), 2019). A
+// settled node that the labels do not certify is blocked when its rank lies
+// in [b, r) or when any tight predecessor (d(p) + w == d(u)) is blocked; it
+// gets no entry but is still expanded, so the flag reaches every node behind
+// it, and the search stops once every tentative node is blocked. The entries
+// are appended on the calling thread in rank order after the batch, so the
+// labels are the canonical ones at every thread count. The flag compares
+// path sums for equality, so batches need every sum exact: with a fractional
+// live weight, or live weights that sum to 2^53 or more, or with fewer than
+// two threads, every batch holds one root, which is the sequential loop.
+// Each participant owns 17 B of scratch per node. The persisted
+// pruned-settle count is the sequential loop's: the neighbours of each
+// root's entries that are not entries themselves.
 //
 // The order decides the label size, so it is a greedy cover of sampled
 // shortest paths (the sampling scheme of RXL: Delling, Goldberg, Pajor and
@@ -34,8 +55,9 @@
 // subtree is a sequential scan. They are freed before the first pruned
 // Dijkstra.
 // The greedy runs on the calling thread and depends on the graph alone, so
-// the labels are byte-identical at every thread count. The sample trees and
-// the pruned Dijkstras all read one CSR snapshot of the live adjacency.
+// the order, and with it the labels, is byte-identical at every thread
+// count. The sample trees and the pruned Dijkstras all read one CSR
+// snapshot of the live adjacency.
 //
 // The label arrays are canonical: per node, hubs strictly ascending by rank
 // with their distances in lockstep — exactly the layout the simd
@@ -118,8 +140,9 @@ class HubLabels {
     uint64_t seed = 0x9e3779b97f4a7c15ull;  // picks the sampled roots
   };
 
-  // Builds labels for every node of `graph`. `pool` grows the sample trees
-  // and runs the flattening sweep (null = run on the caller).
+  // Builds labels for every node of `graph`. `pool` grows the sample trees,
+  // runs the batches of pruned Dijkstras and the flattening sweep (null =
+  // run on the caller, one root at a time).
   static std::shared_ptr<HubLabels> Build(const RoadNetwork& graph,
                                           const BuildOptions& options,
                                           ThreadPool* pool);

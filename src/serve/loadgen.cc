@@ -20,7 +20,6 @@
 #include "serve/net.h"
 #include "util/deadline.h"
 #include "util/random.h"
-#include "util/simd/simd.h"
 
 namespace dsig {
 namespace serve {
@@ -294,8 +293,6 @@ void WriteReportJson(const LoadgenOptions& options,
   bench.SetParam("deadline_ms", options.deadline_ms);
   bench.SetParam("update_fraction", options.update_fraction);
   bench.SetParam("seed", static_cast<double>(options.seed));
-  bench.SetParam("simd_dispatch_level",
-                 simd::SimdLevelName(simd::ActiveLevel()));
 
   obs::BenchReport::Point* point =
       bench.AddPoint("loadgen", "open_loop", std::to_string(options.rate));

@@ -1,7 +1,8 @@
 // Differential tests of the exact-distance hub-label tier (core/hub_labels):
 // every pairwise label distance must equal the Dijkstra ground truth — bit
 // for bit, since the generators produce integer edge weights — on all three
-// generator families, with bit-identical serialization round-trips, a
+// generator families; every entry must be the canonical one for the vertex
+// order, at every pool size; with bit-identical serialization round-trips, a
 // corruption sweep of the blob decoder, the sticky stale latch, and
 // structural verification catching tampering.
 #include "core/hub_labels.h"
@@ -11,6 +12,8 @@
 #include <algorithm>
 #include <bit>
 #include <initializer_list>
+#include <iterator>
+#include <utility>
 #include <vector>
 
 #include "graph/dijkstra.h"
@@ -121,6 +124,76 @@ void ExpectMatchesDijkstra(const RoadNetwork& g, const HubLabels& labels,
           << "u=" << u << " v=" << v;
     }
   }
+}
+
+// Per node, (hub rank, distance) pairs ascending by rank.
+using Label = std::vector<std::pair<uint32_t, Weight>>;
+
+// The canonical labeling for `labels`' vertex order (Akiba et al., SIGMOD
+// 2013): L(v) holds (h, d(h, v)) exactly when no node ranked before h lies
+// on any shortest h-v path. One full Dijkstra per hub, in rank order; a node
+// is covered when it is ranked before h or any of its tight predecessors is
+// covered. Ranks are read from the distance-0 self entries, of which
+// weights > 0 leave exactly one per label.
+std::vector<Label> CanonicalLabels(const RoadNetwork& g,
+                                   const HubLabels& labels) {
+  const size_t n = g.num_nodes();
+  std::vector<NodeId> node_of(n, kInvalidNode);
+  std::vector<uint32_t> rank_of(n);
+  for (NodeId v = 0; v < n; ++v) {
+    size_t self_entries = 0;
+    for (size_t i = 0; i < labels.label_size(v); ++i) {
+      if (labels.dists(v)[i] != 0) continue;
+      rank_of[v] = labels.hubs(v)[i];
+      ++self_entries;
+    }
+    if (self_entries != 1 || node_of[rank_of[v]] != kInvalidNode) {
+      ADD_FAILURE() << "node " << v << " has no unique self entry";
+      return {};
+    }
+    node_of[rank_of[v]] = v;
+  }
+  std::vector<Label> canonical(n);
+  std::vector<NodeId> by_distance;
+  std::vector<char> covered(n);
+  for (uint32_t h = 0; h < n; ++h) {
+    const ShortestPathTree tree = RunDijkstra(g, node_of[h]);
+    by_distance.clear();
+    for (NodeId v = 0; v < n; ++v) {
+      if (tree.dist[v] != kInfiniteWeight) by_distance.push_back(v);
+    }
+    std::sort(by_distance.begin(), by_distance.end(),
+              [&](NodeId a, NodeId b) { return tree.dist[a] < tree.dist[b]; });
+    // A tight predecessor is nearer, so it is already set for this hub.
+    for (const NodeId v : by_distance) {
+      covered[v] = rank_of[v] < h;
+      for (const AdjacencyEntry& hop : g.adjacency(v)) {
+        if (!hop.removed && covered[hop.to] &&
+            tree.dist[hop.to] + hop.weight == tree.dist[v]) {
+          covered[v] = 1;
+        }
+      }
+      if (covered[v] == 0) canonical[v].push_back({h, tree.dist[v]});
+    }
+  }
+  return canonical;
+}
+
+// Entries in `labels` or `want` but not in both.
+size_t CountDifferingEntries(const HubLabels& labels,
+                             const std::vector<Label>& want) {
+  size_t differing = 0;
+  for (NodeId v = 0; v < labels.num_nodes(); ++v) {
+    Label have;
+    for (size_t i = 0; i < labels.label_size(v); ++i) {
+      have.push_back({labels.hubs(v)[i], labels.dists(v)[i]});
+    }
+    Label only;
+    std::set_symmetric_difference(have.begin(), have.end(), want[v].begin(),
+                                  want[v].end(), std::back_inserter(only));
+    differing += only.size();
+  }
+  return differing;
 }
 
 TEST(HubLabelsTest, MatchesDijkstraOnSevenNodeNetwork) {
@@ -406,9 +479,38 @@ TEST(HubLabelsTest, StaleLatchIsSticky) {
   EXPECT_EQ(labels->Distance(0, 1), 4.0);
 }
 
-// The sample trees grow on the pool; the greedy order and the pruned
-// Dijkstras run on the caller. The blob must not depend on the thread count,
-// also on networks large enough for the greedy to take many nodes.
+// The batched pruned searches, with a pool, yield exactly the canonical
+// entries: on every generator family, with no pool (one root at a time) and
+// with pools whose batches let earlier roots of a batch block later ones.
+TEST(HubLabelsTest, EntriesAreTheCanonicalHubs) {
+  const RoadNetwork networks[] = {
+      MakeRandomPlanar({.num_nodes = 300, .seed = 37}),
+      MakeGrid({.width = 20, .height = 15}),
+      MakeClusteredContinental({.num_clusters = 3, .nodes_per_cluster = 100,
+                                .seed = 37}),
+      MakeRandomPlanar({.num_nodes = 1500, .seed = 37}),
+  };
+  for (const RoadNetwork& g : networks) {
+    SCOPED_TRACE(g.num_nodes());
+    const auto serial = HubLabels::Build(g, {}, nullptr);
+    const std::vector<Label> canonical = CanonicalLabels(g, *serial);
+    ASSERT_EQ(canonical.size(), g.num_nodes());
+    EXPECT_EQ(CountDifferingEntries(*serial, canonical), 0u);
+    for (const size_t threads : {2, 4}) {
+      ThreadPool pool(threads);
+      EXPECT_EQ(CountDifferingEntries(*HubLabels::Build(g, {}, &pool),
+                                      canonical),
+                0u)
+          << threads << " threads";
+    }
+  }
+}
+
+// The sample trees and the pruned searches run on the pool, the greedy
+// order on the caller. The blob must not depend on the thread count, also
+// on networks large enough for the greedy to take many nodes and for the
+// batches to reach their largest size. Fractional weights make path sums
+// inexact, so those networks build one root at a time on any pool.
 TEST(HubLabelsTest, BuildIsDeterministicAcrossPools) {
   const RoadNetwork networks[] = {
       MakeRandomPlanar({.num_nodes = 200, .seed = 29}),
@@ -416,6 +518,8 @@ TEST(HubLabelsTest, BuildIsDeterministicAcrossPools) {
       MakeGrid({.width = 50, .height = 50}),
       MakeClusteredContinental({.num_clusters = 4, .nodes_per_cluster = 500,
                                 .seed = 29}),
+      MakeFractionalWeightNetwork(),
+      MakeGrid({.width = 40, .height = 40, .edge_weight = 0.1}),
   };
   for (const RoadNetwork& g : networks) {
     SCOPED_TRACE(g.num_nodes());
