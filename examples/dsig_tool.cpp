@@ -162,12 +162,10 @@ int Build(const Flags& flags) {
         HubLabels::Build(**graph, {}, &ThreadPool::Global()));
     const HubLabelStats ls = index->hub_labels()->stats();
     std::printf(
-        "built hub labels in %.2fs: %llu entries "
-        "(%.1f/node, %.1f KB, %llu pruned settles)\n",
+        "built hub labels in %.2fs: %llu entries (%.1f/node, %.1f KB)\n",
         label_timer.ElapsedSeconds(),
         static_cast<unsigned long long>(ls.entries), ls.avg_label_entries,
-        static_cast<double>(ls.bytes) / 1024.0,
-        static_cast<unsigned long long>(ls.pruned_settles));
+        static_cast<double>(ls.bytes) / 1024.0);
   }
   const Status status = SaveSignatureIndex(*index, index_path);
   if (!status.ok()) {

@@ -53,30 +53,6 @@ struct GridCostModel {
   Optimum PaperOptimum() const;
 };
 
-// Cost model for routing one exact node-to-object distance between the
-// hub-label tier and signature link-chasing (the query planner,
-// query/planner.h). Same spirit as the §5.1 model above: relative units
-// where one label-merge lane comparison costs 1.
-//
-// A label merge touches |L(u)| + |L(v)| ~ 2·avg_label_entries lanes. A
-// chase covers the expected distance one edge at a time — expected hops ~
-// distance / mean edge weight — and every hop decodes one signature
-// component and touches one adjacency page, orders of magnitude above a
-// lane.
-struct ExactRouteCostModel {
-  double avg_label_entries = 0;  // mean |L(v)| of the built labels
-  double mean_edge_weight = 1;   // mean live-edge weight of the network
-  double chase_hop_cost = 64;    // one decode + adjacency touch, in lanes
-
-  double LabelCost() const { return 2 * avg_label_entries; }
-
-  double ChaseCost(double expected_distance) const {
-    const double hops =
-        mean_edge_weight > 0 ? expected_distance / mean_edge_weight : 1;
-    return (hops < 1 ? 1 : hops) * chase_hop_cost;
-  }
-};
-
 }  // namespace dsig
 
 #endif  // DSIG_CORE_COST_MODEL_H_

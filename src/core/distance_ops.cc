@@ -132,39 +132,51 @@ DistanceRange ApproximateDistance(const SignatureIndex& index, NodeId n,
   return cursor.RefineAgainst(delta);
 }
 
-CompareResult ExactCompare(const SignatureIndex& index, NodeId n, uint32_t a,
-                           uint32_t b, const RowStage& stage) {
-  const ReadSnapshot snapshot(index.epoch_gate());
+namespace {
+
+// Algorithm 2's exact comparison, over cursors the caller owns. A sort keeps
+// its cursors across comparisons, so refinement progress survives and its
+// total backtracking is bounded by one walk per object instead of one per
+// pair — the I/O-batching reading of §3.2.2.
+CompareResult CompareWithCursors(RetrievalCursor* ca, RetrievalCursor* cb) {
   ++GlobalOpCounters().exact_compares;
-  const SignatureEntry entry_a = stage.entry(a);
-  const SignatureEntry entry_b = stage.entry(b);
-  RetrievalCursor ca(&index, n, a, &entry_a);
-  RetrievalCursor cb(&index, n, b, &entry_b);
   CompareResult result = CompareResult::kEqual;
-  while (!Decided(ca, cb, &result)) {
-    // Batched alternation (Algorithm 2): push one side as far as the other's
-    // current range requires, then switch.
+  while (!Decided(*ca, *cb, &result)) {
+    // Batched alternation: push one side as far as the other's current
+    // range requires, then switch.
     bool progressed = false;
-    if (!ca.exact() && ca.range().PartiallyIntersects(cb.range())) {
-      ca.RefineAgainst(cb.range());
+    if (!ca->exact() && ca->range().PartiallyIntersects(cb->range())) {
+      ca->RefineAgainst(cb->range());
       progressed = true;
     }
-    if (Decided(ca, cb, &result)) return result;
-    if (!cb.exact() && cb.range().PartiallyIntersects(ca.range())) {
-      cb.RefineAgainst(ca.range());
+    if (Decided(*ca, *cb, &result)) return result;
+    if (!cb->exact() && cb->range().PartiallyIntersects(ca->range())) {
+      cb->RefineAgainst(ca->range());
       progressed = true;
     }
     if (!progressed) {
       // Ranges coincide (e.g., both spans are the same category): neither
       // "partially" intersects the other, so force a step to break the tie.
-      if (!ca.exact()) {
-        ca.Step();
+      if (!ca->exact()) {
+        ca->Step();
       } else {
-        cb.Step();
+        cb->Step();
       }
     }
   }
   return result;
+}
+
+}  // namespace
+
+CompareResult ExactCompare(const SignatureIndex& index, NodeId n, uint32_t a,
+                           uint32_t b, const RowStage& stage) {
+  const ReadSnapshot snapshot(index.epoch_gate());
+  const SignatureEntry entry_a = stage.entry(a);
+  const SignatureEntry entry_b = stage.entry(b);
+  RetrievalCursor ca(&index, n, a, &entry_a);
+  RetrievalCursor cb(&index, n, b, &entry_b);
+  return CompareWithCursors(&ca, &cb);
 }
 
 namespace {
@@ -298,39 +310,6 @@ CompareResult ApproximateCompare(const SignatureIndex& index,
   if (votes_b > votes_a) return CompareResult::kGreater;
   return CompareResult::kEqual;
 }
-
-namespace {
-
-// Exact comparison over *persistent* cursors: identical decision procedure
-// to ExactCompare, but refinement progress survives across comparisons, so a
-// sort's total backtracking is bounded by one walk per object instead of one
-// per pair — the I/O-batching reading of §3.2.2.
-CompareResult CompareWithCursors(RetrievalCursor* ca, RetrievalCursor* cb) {
-  ++GlobalOpCounters().exact_compares;
-  CompareResult result = CompareResult::kEqual;
-  while (!Decided(*ca, *cb, &result)) {
-    bool progressed = false;
-    if (!ca->exact() && ca->range().PartiallyIntersects(cb->range())) {
-      ca->RefineAgainst(cb->range());
-      progressed = true;
-    }
-    if (Decided(*ca, *cb, &result)) return result;
-    if (!cb->exact() && cb->range().PartiallyIntersects(ca->range())) {
-      cb->RefineAgainst(ca->range());
-      progressed = true;
-    }
-    if (!progressed) {
-      if (!ca->exact()) {
-        ca->Step();
-      } else {
-        cb->Step();
-      }
-    }
-  }
-  return result;
-}
-
-}  // namespace
 
 bool ApproximateSortByDistance(const SignatureIndex& index, NodeId n,
                                const RowStage& stage,

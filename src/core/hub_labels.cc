@@ -18,13 +18,13 @@ namespace dsig {
 namespace {
 
 constexpr uint32_t kLabelMagic = 0x4c475344;  // "DSGL"
-constexpr uint32_t kLabelVersion = 2;
+constexpr uint32_t kLabelVersion = 3;
 
-// v2 blob header (layout in hub_labels.h): magic and version at 32 bits;
-// node count, mean-weight IEEE bits, pruned settles and entry count at 64;
-// then the three field widths at 8 bits each. 43 bytes, byte-aligned.
+// v3 blob header (layout in hub_labels.h): magic and version at 32 bits;
+// node count and entry count at 64; then the three field widths at 8 bits
+// each. 27 bytes, byte-aligned.
 constexpr int kWidthFieldBits = 8;
-constexpr size_t kHeaderBits = 2 * 32 + 4 * 64 + 3 * kWidthFieldBits;
+constexpr size_t kHeaderBits = 2 * 32 + 2 * 64 + 3 * kWidthFieldBits;
 static_assert(kHeaderBits % 8 == 0);
 // Ranks and label lengths are u32s.
 constexpr int kMaxIndexWidth = 32;
@@ -37,17 +37,6 @@ constexpr int kRawDistanceWidth = 64;
 // a few header bytes claim any count.
 int FieldWidth(uint64_t max_value) {
   return std::max(1, static_cast<int>(std::bit_width(max_value)));
-}
-
-double MeanLiveEdgeWeight(const RoadNetwork& graph) {
-  double sum = 0;
-  size_t count = 0;
-  for (EdgeId e = 0; e < graph.num_edge_slots(); ++e) {
-    if (graph.edge_removed(e)) continue;
-    sum += graph.edge_weight(e);
-    ++count;
-  }
-  return count == 0 ? 1.0 : sum / static_cast<double>(count);
 }
 
 // Whether every path length is an exact double: every live weight a whole
@@ -289,37 +278,33 @@ struct LabelEntry {
 // One participant's pruned-search scratch, 17 B per node. `root_dist` holds
 // the root's label scattered by hub rank and +inf elsewhere, so the prune
 // test needs no membership check; `dist` is +inf off the current search and
-// -1 once settled. Both, and `flags`, are reset entry by entry after each
-// root. Cache-line aligned: the vectors' ends move on every push, and must
-// not share a line with a sibling participant's.
+// -1 once settled; `blocked` is 1 where an earlier root of the batch lies
+// on a shortest path. All three are reset entry by entry after each root.
+// Cache-line aligned: the vectors' ends move on every push, and must not
+// share a line with a sibling participant's.
 struct alignas(64) PrunedSearch {
-  static constexpr uint8_t kBlocked = 1;      // an earlier root of the batch
-                                              // lies on a shortest path
-  static constexpr uint8_t kEntry = 2;        // holds an entry for the root
-  static constexpr uint8_t kNextToEntry = 4;  // adjacent to such a node
-
   explicit PrunedSearch(size_t n)
-      : root_dist(n, kInfiniteWeight), dist(n, kInfiniteWeight), flags(n, 0) {}
+      : root_dist(n, kInfiniteWeight),
+        dist(n, kInfiniteWeight),
+        blocked(n, 0) {}
 
   // The search from `root`, of rank `rank`, in the batch that starts at rank
-  // `batch_begin`: appends the root's entries to `found` and returns the
-  // settles the one-root-at-a-time loop would have pruned.
-  uint64_t Run(const LiveCsr& csr, const std::vector<uint32_t>& rank_of,
-               const GrowingLabels& labels, NodeId root, uint32_t rank,
-               uint32_t batch_begin);
+  // `batch_begin`: appends the root's entries to `found`.
+  void Run(const LiveCsr& csr, const std::vector<uint32_t>& rank_of,
+           const GrowingLabels& labels, NodeId root, uint32_t rank,
+           uint32_t batch_begin);
 
   std::vector<Weight> root_dist;
   std::vector<Weight> dist;
-  std::vector<uint8_t> flags;
+  std::vector<uint8_t> blocked;
   std::vector<NodeId> reached;
   std::vector<std::pair<Weight, NodeId>> heap;  // a min-heap
   std::vector<LabelEntry> found;
 };
 
-uint64_t PrunedSearch::Run(const LiveCsr& csr,
-                           const std::vector<uint32_t>& rank_of,
-                           const GrowingLabels& labels, NodeId root,
-                           uint32_t rank, uint32_t batch_begin) {
+void PrunedSearch::Run(const LiveCsr& csr, const std::vector<uint32_t>& rank_of,
+                       const GrowingLabels& labels, NodeId root, uint32_t rank,
+                       uint32_t batch_begin) {
   const std::vector<HubEntry>& root_label = labels[root];
   for (const HubEntry& e : root_label) root_dist[e.hub] = e.dist;
   const auto push = [this](Weight d, NodeId v) {
@@ -329,8 +314,8 @@ uint64_t PrunedSearch::Run(const LiveCsr& csr,
   dist[root] = 0;
   reached.push_back(root);
   push(0, root);
-  // Tentative nodes without kBlocked. Once there are none, every node left
-  // to settle is blocked or pruned, and gets no entry.
+  // Tentative nodes not blocked. Once there are none, every node left to
+  // settle is blocked or pruned, and gets no entry.
   size_t open = 1;
   while (open > 0) {
     std::pop_heap(heap.begin(), heap.end(), std::greater<>());
@@ -338,7 +323,7 @@ uint64_t PrunedSearch::Run(const LiveCsr& csr,
     heap.pop_back();
     if (d > dist[u]) continue;  // stale or settled
     dist[u] = -1;
-    if ((flags[u] & kBlocked) == 0) --open;
+    if (blocked[u] == 0) --open;
     // Prune: if the labels of the earlier batches already certify
     // d(root, u) <= d through an earlier hub, u needs no entry for this
     // root and the search need not expand it.
@@ -349,46 +334,36 @@ uint64_t PrunedSearch::Run(const LiveCsr& csr,
     // An earlier root of this batch on a shortest path to u (u itself, or
     // one behind a tight predecessor) would have pruned u had the roots run
     // one at a time: u gets no entry, but is expanded to pass the flag on.
-    if (rank_of[u] >= batch_begin && rank_of[u] < rank) flags[u] |= kBlocked;
-    const uint8_t blocked = flags[u] & kBlocked;
-    if (blocked == 0) {
-      flags[u] |= kEntry;
-      found.push_back({u, d});
-    }
+    if (rank_of[u] >= batch_begin && rank_of[u] < rank) blocked[u] = 1;
+    const uint8_t u_blocked = blocked[u];
+    if (u_blocked == 0) found.push_back({u, d});
     for (const LiveCsr::Arc* a = csr.begin(u); a != csr.end(u); ++a) {
       const Weight nd = d + a->weight;
       Weight& to_dist = dist[a->to];
-      uint8_t& to_flags = flags[a->to];
-      if (blocked == 0) to_flags |= kNextToEntry;
+      uint8_t& to_blocked = blocked[a->to];
       if (nd < to_dist) {
         if (to_dist == kInfiniteWeight) {
           reached.push_back(a->to);
-        } else if ((to_flags & kBlocked) == 0) {
+        } else if (to_blocked == 0) {
           --open;
         }
         to_dist = nd;
-        to_flags = static_cast<uint8_t>((to_flags & ~kBlocked) | blocked);
-        if (blocked == 0) ++open;
+        to_blocked = u_blocked;
+        if (u_blocked == 0) ++open;
         push(nd, a->to);
-      } else if (nd == to_dist && blocked != 0 &&
-                 (to_flags & kBlocked) == 0) {
-        to_flags |= kBlocked;
+      } else if (nd == to_dist && u_blocked != 0 && to_blocked == 0) {
+        to_blocked = 1;
         --open;
       }
     }
   }
-  // The one-root-at-a-time loop settles every neighbour of the root's
-  // entries and prunes those that are not entries themselves.
-  uint64_t pruned = 0;
   for (const HubEntry& e : root_label) root_dist[e.hub] = kInfiniteWeight;
   for (const NodeId v : reached) {
-    if ((flags[v] & (kEntry | kNextToEntry)) == kNextToEntry) ++pruned;
     dist[v] = kInfiniteWeight;
-    flags[v] = 0;
+    blocked[v] = 0;
   }
   reached.clear();
   heap.clear();
-  return pruned;
 }
 
 }  // namespace
@@ -399,7 +374,6 @@ std::shared_ptr<HubLabels> HubLabels::Build(const RoadNetwork& graph,
   auto labels = std::shared_ptr<HubLabels>(new HubLabels());
   const size_t n = graph.num_nodes();
   labels->num_nodes_ = n;
-  labels->mean_edge_weight_ = MeanLiveEdgeWeight(graph);
   labels->decoded_.store(true, std::memory_order_release);
   labels->decode_ok_.store(true, std::memory_order_release);
   if (n == 0) {
@@ -424,19 +398,17 @@ std::shared_ptr<HubLabels> HubLabels::Build(const RoadNetwork& graph,
   const size_t participants = pool == nullptr ? 1 : pool->num_threads();
   const bool batched = participants > 1 && PathSumsAreExact(graph);
   std::vector<PrunedSearch> searches(participants, PrunedSearch(n));
-  uint64_t pruned = 0;
   for (size_t begin = 0; begin < n;) {
     const size_t end = std::min(
         n, begin + (batched ? std::max(participants,
                                        std::min<size_t>(begin / 4, 512))
                             : 1));
     // Per root: its entries, found[first, last) of the participant that
-    // ran it, and its pruned settles.
+    // ran it.
     struct RootResult {
       const PrunedSearch* search;
       size_t first;
       size_t last;
-      uint64_t pruned;
     };
     std::vector<RootResult> results(end - begin);
     std::atomic<size_t> next_rank{begin};
@@ -444,10 +416,9 @@ std::shared_ptr<HubLabels> HubLabels::Build(const RoadNetwork& graph,
       PrunedSearch& s = searches[participant];
       for (size_t rank = next_rank++; rank < end; rank = next_rank++) {
         const size_t first = s.found.size();
-        const uint64_t root_pruned =
-            s.Run(csr, rank_of, growing, order[rank],
-                  static_cast<uint32_t>(rank), static_cast<uint32_t>(begin));
-        results[rank - begin] = {&s, first, s.found.size(), root_pruned};
+        s.Run(csr, rank_of, growing, order[rank], static_cast<uint32_t>(rank),
+              static_cast<uint32_t>(begin));
+        results[rank - begin] = {&s, first, s.found.size()};
       }
     };
     if (end - begin == 1) {
@@ -461,12 +432,10 @@ std::shared_ptr<HubLabels> HubLabels::Build(const RoadNetwork& graph,
         const LabelEntry& e = r.search->found[i];
         growing[e.node].push_back({static_cast<uint32_t>(rank), e.dist});
       }
-      pruned += r.pruned;
     }
     for (PrunedSearch& s : searches) s.found.clear();
     begin = end;
   }
-  labels->pruned_settles_ = pruned;
 
   // Flatten into the canonical SoA pools (offsets are sequential; the copy
   // itself parallelizes).
@@ -518,13 +487,10 @@ bool HubLabels::DecodeBlob() const {
   if (in.ReadBits(32) != kLabelMagic) return false;
   if (in.ReadBits(32) != kLabelVersion) return false;
   const uint64_t n = in.ReadBits(64);
-  const double mean_weight = std::bit_cast<double>(in.ReadBits(64));
-  const uint64_t pruned = in.ReadBits(64);
   const uint64_t entries = in.ReadBits(64);
   const int hub_width = static_cast<int>(in.ReadBits(kWidthFieldBits));
   const int len_width = static_cast<int>(in.ReadBits(kWidthFieldBits));
   const int dist_width = static_cast<int>(in.ReadBits(kWidthFieldBits));
-  if (!std::isfinite(mean_weight) || mean_weight <= 0) return false;
   if (hub_width < 1 || hub_width > kMaxIndexWidth || len_width < 1 ||
       len_width > kMaxIndexWidth) {
     return false;
@@ -573,8 +539,6 @@ bool HubLabels::DecodeBlob() const {
   }
 
   num_nodes_ = n;
-  mean_edge_weight_ = mean_weight;
-  pruned_settles_ = pruned;
   rank_of_ = std::move(rank_of);
   offsets_ = std::move(offsets);
   hubs_ = std::move(hubs);
@@ -608,7 +572,6 @@ HubLabelStats HubLabels::stats() const {
       num_nodes_ == 0 ? 0
                       : static_cast<double>(s.entries) /
                             static_cast<double>(num_nodes_);
-  s.pruned_settles = pruned_settles_;
   return s;
 }
 
@@ -636,8 +599,6 @@ std::vector<uint8_t> HubLabels::Serialize() const {
   out.WriteBits(kLabelMagic, 32);
   out.WriteBits(kLabelVersion, 32);
   out.WriteBits(n, 64);
-  out.WriteBits(std::bit_cast<uint64_t>(mean_edge_weight_), 64);
-  out.WriteBits(pruned_settles_, 64);
   out.WriteBits(entries, 64);
   out.WriteBits(static_cast<uint64_t>(hub_width), kWidthFieldBits);
   out.WriteBits(static_cast<uint64_t>(len_width), kWidthFieldBits);

@@ -35,9 +35,7 @@
 // path sums for equality, so batches need every sum exact: with a fractional
 // live weight, or live weights that sum to 2^53 or more, or with fewer than
 // two threads, every batch holds one root, which is the sequential loop.
-// Each participant owns 17 B of scratch per node. The persisted
-// pruned-settle count is the sequential loop's: the neighbours of each
-// root's entries that are not entries themselves.
+// Each participant owns 17 B of scratch per node.
 //
 // The order decides the label size, so it is a greedy cover of sampled
 // shortest paths (the sampling scheme of RXL: Delling, Goldberg, Pajor and
@@ -67,8 +65,9 @@
 // Distances are exact, not categorical, and because every graph generator
 // produces integer-valued edge weights (graph/graph_generator.h), the label
 // sums d(u,h) + d(h,v) are bitwise equal to the distances guided
-// backtracking accumulates edge by edge — the planner (query/planner.h) can
-// swap routes without perturbing a single result bit.
+// backtracking accumulates edge by edge — the planner (query/planner.h)
+// answers every exact distance from usable labels without perturbing a
+// single result bit.
 //
 // Staleness: labels are immutable after construction. Any WAL-applied
 // network change makes them permanently stale (MarkStale, a sticky latch the
@@ -77,13 +76,12 @@
 // paths.
 //
 // Persistence: one opaque blob (Serialize / FromSerialized) stored as an
-// optional CRC32C section of the index file. Format v2 is a BitWriter stream
+// optional CRC32C section of the index file. Format v3 is a BitWriter stream
 // (LSB-first) in which every field of a kind has one fixed bit width:
 //
-//   header  magic "DSGL" (32) | version 2 (32) | node count n (64) |
-//           mean edge weight, IEEE bits (64) | pruned settles (64) |
+//   header  magic "DSGL" (32) | version 3 (32) | node count n (64) |
 //           entry count (64) | hub width | length width | distance width
-//           (8 each) — 43 bytes
+//           (8 each) — 27 bytes
 //   ranks   rank_of[v] for every node, at the hub width
 //   lengths |L(v)| for every node, at the length width
 //   hubs    every label's hub ranks in pool order, at the hub width
@@ -103,10 +101,11 @@
 // lengths, 1..53 or 64 for distances) and both counts against the bits left
 // before it allocates a pool, requires the lengths to sum to the entry count
 // and the stream to end on the last field, then checks the label structure.
-// Any other version, v1 included, does not decode: a file written before v2
-// loads without a usable label tier (ready() == false), and a deep
-// SignatureIndex::Verify of it reports the label section. Decode is lazy — deferred to first use — so
-// loading an index never pays for a tier the workload may not touch.
+// Any other version does not decode, v1 and v2 included: a file written
+// before v3 loads without a usable label tier (ready() == false), and a deep
+// SignatureIndex::Verify of it reports the label section. Decode is lazy —
+// deferred to first use — so loading an index never pays for a tier the
+// workload may not touch.
 #ifndef DSIG_CORE_HUB_LABELS_H_
 #define DSIG_CORE_HUB_LABELS_H_
 
@@ -128,7 +127,6 @@ struct HubLabelStats {
   uint64_t entries = 0;       // total (hub, dist) pairs
   uint64_t bytes = 0;         // decoded in-memory footprint of the pools
   double avg_label_entries = 0;
-  uint64_t pruned_settles = 0;  // Dijkstra settles cut by the label query
 };
 
 class HubLabels {
@@ -170,11 +168,6 @@ class HubLabels {
   const double* dists(NodeId n) const { return dists_.data() + offsets_[n]; }
   size_t label_size(NodeId n) const { return offsets_[n + 1] - offsets_[n]; }
 
-  // Mean live-edge weight of the build graph, persisted with the labels:
-  // the planner's chase-cost estimate (expected hops ~ distance / mean
-  // weight) needs it without an O(E) sweep per process.
-  double mean_edge_weight() const { return mean_edge_weight_; }
-
   HubLabelStats stats() const;
 
   // --- Staleness latch -----------------------------------------------------
@@ -186,7 +179,7 @@ class HubLabels {
 
   // --- Persistence ---------------------------------------------------------
 
-  // The v2 bit-packed blob described at the top of this file. The caller
+  // The v3 bit-packed blob described at the top of this file. The caller
   // frames it (CRC section, length prefix); FromSerialized re-checks the
   // internal structure on lazy decode anyway, so torn frames degrade, not
   // crash. Decoding the blob reproduces the pools bit for bit.
@@ -215,8 +208,6 @@ class HubLabels {
   mutable std::vector<uint32_t> rank_of_;  // node -> rank (permutation)
   mutable std::vector<uint32_t> hubs_;     // per-label ascending ranks
   mutable std::vector<double> dists_;
-  mutable double mean_edge_weight_ = 1.0;
-  mutable uint64_t pruned_settles_ = 0;
 
   // Lazy-decode state.
   mutable std::vector<uint8_t> blob_;

@@ -40,7 +40,7 @@ namespace dsig {
   /* Exact-distance routing (query/planner.h): how many exact values the    \
      hub-label tier answered, and how many label-eligible requests the      \
      planner demoted to chasing/Dijkstra (stale latch, force-off pin, or    \
-     cost model preferring the hop count). */                               \
+     a blob that does not decode). */                                       \
   X(label_distances, "exact distances answered by the hub-label tier")       \
   X(label_demotions, "label-eligible requests routed to chase/Dijkstra")
 

@@ -22,6 +22,7 @@ ClosestPairResult SignatureClosestPair(const SignatureIndex& left,
 
   const CategoryPartition& partition = right.partition();
   const int m = partition.num_categories();
+  const bool use_labels = LabelsUsable(right);
   const simd::KernelTable& kernels = simd::Kernels();
   static thread_local RowStage stage;
   for (uint32_t a = 0; a < left.num_objects(); ++a) {
@@ -63,7 +64,7 @@ ClosestPairResult SignatureClosestPair(const SignatureIndex& left,
       // start and the incumbent may have tightened since.
       if (range.lb >= best.distance) continue;  // cannot win
       ++best.refined;
-      if (PlanObjectRoute(right, &range) == ExactRoute::kLabels) {
+      if (use_labels) {
         // Label route: the exact value in one merge. The incumbent check is
         // the same (exact d vs best), so the winner sequence — and thus the
         // final pair — matches the chase route bit for bit.

@@ -4,11 +4,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 
 #include "core/hub_labels.h"
 #include "core/row_stage.h"
-#include "graph/dijkstra.h"
 #include "obs/op_counters.h"
 #include "obs/trace.h"
 #include "util/deadline.h"
@@ -30,8 +28,8 @@ bool ForceNoLabelsEnv() {
 }
 
 // Demotion accounting: a request was label-eligible (a tier is attached)
-// but the planner sent it elsewhere — stale latch, force-off pin, decode
-// failure, or the cost model preferring the hop count.
+// but the tier could not answer it — stale latch, force-off pin, or decode
+// failure.
 void CountDemotion(const SignatureIndex& index) {
   if (index.hub_labels() != nullptr) ++GlobalOpCounters().label_demotions;
 }
@@ -48,58 +46,16 @@ bool LabelsUsable(const SignatureIndex& index) {
   return labels->ready();
 }
 
-ExactRouteCostModel PlannerSeed(const SignatureIndex& index) {
-  ExactRouteCostModel model;
-  const HubLabels* labels = index.hub_labels();
-  if (labels != nullptr && labels->ready()) {
-    model.avg_label_entries = labels->stats().avg_label_entries;
-    model.mean_edge_weight = labels->mean_edge_weight();
-  }
-  return model;
-}
-
-ExactRoute PlanObjectRoute(const SignatureIndex& index,
-                           const DistanceRange* hint) {
-  if (!LabelsUsable(index)) return ExactRoute::kChase;
-  // No category hint means the caller has not read the row; the label route
-  // answers without ever touching it, so it wins outright.
-  if (hint == nullptr) return ExactRoute::kLabels;
-  const ExactRouteCostModel model = PlannerSeed(index);
-  // The category lower bound is the conservative distance estimate: every
-  // chase toward this object walks at least lb worth of edges (ub may be
-  // infinite in the open tail category, so it cannot anchor a cost).
-  const double expected = static_cast<double>(hint->lb);
-  return model.ChaseCost(expected) >= model.LabelCost() ? ExactRoute::kLabels
-                                                        : ExactRoute::kChase;
-}
-
 Weight RoutedObjectDistance(const SignatureIndex& index, NodeId n,
                             uint32_t object, const SignatureEntry* initial) {
   const ReadSnapshot snapshot(index.epoch_gate());
-  DistanceRange hint;
-  const DistanceRange* hint_ptr = nullptr;
-  if (initial != nullptr && initial->IsResolved()) {
-    hint = index.partition().RangeOf(initial->category);
-    hint_ptr = &hint;
-  }
-  const ExactRoute route = PlanObjectRoute(index, hint_ptr);
-  if (route == ExactRoute::kLabels) {
+  if (LabelsUsable(index)) {
     ++GlobalOpCounters().label_distances;
     return index.hub_labels()->Distance(n, index.object_node(object));
   }
   CountDemotion(index);
   RetrievalCursor cursor(&index, n, object, initial);
   return cursor.RetrieveExact();
-}
-
-Weight RoutedNodeDistance(const SignatureIndex& index, NodeId u, NodeId v) {
-  if (LabelsUsable(index)) {
-    ++GlobalOpCounters().label_distances;
-    return index.hub_labels()->Distance(u, v);
-  }
-  CountDemotion(index);
-  const obs::Span span(obs::Phase::kDijkstraFallback);
-  return DijkstraDistance(index.graph(), u, v);
 }
 
 void RoutedSortByDistance(const SignatureIndex& index, NodeId n,

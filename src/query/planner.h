@@ -1,4 +1,4 @@
-// Cost-model routing of exact-distance work (the hybrid-tier planner).
+// Routing of exact-distance work (the hybrid-tier planner).
 //
 // Three machines can produce an exact network distance:
 //   * the hub-label tier (core/hub_labels.h): one sorted-array min-plus
@@ -10,13 +10,11 @@
 //   * bounded Dijkstra (graph/dijkstra.h): no index at all, the last-resort
 //     fallback it has always been.
 //
-// The planner picks per request, seeded by core/cost_model's
-// ExactRouteCostModel: labels when they are attached, decoded, fresh, and
-// the estimated merge cost undercuts the estimated hop count — chasing
-// still wins for near objects (a 1-2 hop chase beats merging two hundred
-// lanes). Signatures keep doing what they are uniquely good at (categorical
-// pruning, observer votes); the label tier takes over the final exact
-// values and long sorts.
+// One rule routes every exact distance: the labels answer whenever
+// LabelsUsable holds (attached, decoded, fresh, not pinned off), and the
+// signature paths answer otherwise. Signatures keep doing what they are
+// uniquely good at (categorical pruning, observer votes); the label tier
+// takes over the final exact values and long sorts.
 //
 // Identity contract: every generator produces integer edge weights, so the
 // label sum d(u,h) + d(h,v) equals the chase's edge-by-edge accumulation
@@ -35,42 +33,22 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/cost_model.h"
 #include "core/distance_ops.h"
 #include "core/signature_index.h"
 
 namespace dsig {
 
-// Where one exact-distance request was routed.
-enum class ExactRoute {
-  kLabels,  // hub-label merge
-  kChase,   // guided backtracking over signatures
-};
-
 // True when the hub-label tier may serve `index` right now: labels attached,
 // blob decoded, stale latch clear, and no force-off pin.
 bool LabelsUsable(const SignatureIndex& index);
 
-// The cost-model seed for `index`'s label tier (meaningful when
-// LabelsUsable; zeros otherwise).
-ExactRouteCostModel PlannerSeed(const SignatureIndex& index);
-
-// Route decision for one node-to-object distance. `hint` is the node's
-// already-read category range toward the object (null when the caller has
-// not touched the row — the label route then also saves that read).
-ExactRoute PlanObjectRoute(const SignatureIndex& index,
-                           const DistanceRange* hint);
-
-// d(n, object), exact, routed. Identical value on every route; charges
-// label_distances or backtrack pages according to the route taken.
-// `initial` as in RetrievalCursor: the resolved entry s(n)[object] when the
-// caller already read the row, else null.
+// d(n, object), exact: one label merge when LabelsUsable, else the chase.
+// Identical value on every route; charges label_distances or backtrack
+// pages according to the route taken. `initial` as in RetrievalCursor: the
+// resolved entry s(n)[object] when the caller already read the row, else
+// null; only the chase reads it.
 Weight RoutedObjectDistance(const SignatureIndex& index, NodeId n,
                             uint32_t object, const SignatureEntry* initial);
-
-// Exact node-to-node distance: labels when usable, else bounded Dijkstra
-// (signatures cannot answer node-to-node without an object endpoint).
-Weight RoutedNodeDistance(const SignatureIndex& index, NodeId u, NodeId v);
 
 // SortByDistance twin: same approximate insertion sort, then exact ranking
 // by label distances instead of cursor refinement when the labels are

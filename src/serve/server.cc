@@ -142,11 +142,8 @@ StatusOr<std::unique_ptr<DsigServer>> DsigServer::Start(
   if (deployment.graph == nullptr || deployment.index == nullptr) {
     return Status::InvalidArgument("Start: deployment needs graph and index");
   }
-  // Announce the optional exact-distance label tier once and seed the
-  // labels.* gauges so the very first kStats report is self-describing even
-  // if no exact-distance query has run yet.
+  // Announce the optional exact-distance label tier once.
   const HubLabels* labels = deployment.index->hub_labels();
-  PublishHubLabelMetrics(labels);
   if (labels != nullptr && labels->ready()) {
     const HubLabelStats ls = labels->stats();
     DSIG_LOG(Info) << "hub-label tier attached: " << ls.entries
@@ -341,6 +338,9 @@ Response DsigServer::Handle(const Request& request) {
     return response;
   }
   if (request.type == RequestType::kStats) {
+    // Refreshed per report: an acknowledged update trips the stale latch
+    // after startup, and labels.stale must show it.
+    PublishHubLabelMetrics(deployment_.index->hub_labels());
     response.text = "{\"metrics\": " + obs::MetricsRegistry::Global().ToJson() +
                     ", \"slo\": " + slo_->ReportJson() +
                     ", \"tenant_slo\": " + tenant_slo_->ReportJson() + "}";

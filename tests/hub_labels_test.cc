@@ -25,26 +25,23 @@
 namespace dsig {
 namespace {
 
-// Byte offsets of the v2 blob header fields (layout in core/hub_labels.h).
+// Byte offsets of the v3 blob header fields (layout in core/hub_labels.h).
 constexpr size_t kVersionByte = 4;
 constexpr size_t kNodeCountByte = 8;
-constexpr size_t kEntryCountByte = 32;
-constexpr size_t kHubWidthByte = 40;
-constexpr size_t kLengthWidthByte = 41;
-constexpr size_t kDistWidthByte = 42;
-constexpr size_t kHeaderBytes = 43;
+constexpr size_t kEntryCountByte = 16;
+constexpr size_t kHubWidthByte = 24;
+constexpr size_t kLengthWidthByte = 25;
+constexpr size_t kDistWidthByte = 26;
+constexpr size_t kHeaderBytes = 27;
 
-// Decodes `blob` and expects exactly `built`'s pools: label lengths, hubs,
-// distance bit patterns and the header scalars. Re-encoding must reproduce
-// the blob, which also covers the vertex order.
+// Decodes `blob` and expects exactly `built`'s pools: label lengths, hubs
+// and distance bit patterns. Re-encoding must reproduce the blob, which also
+// covers the vertex order.
 void ExpectDecodesBitIdentical(const HubLabels& built,
                                const std::vector<uint8_t>& blob) {
   const auto loaded = HubLabels::FromSerialized(blob);
   ASSERT_TRUE(loaded->ready());
   ASSERT_EQ(loaded->num_nodes(), built.num_nodes());
-  EXPECT_EQ(std::bit_cast<uint64_t>(loaded->mean_edge_weight()),
-            std::bit_cast<uint64_t>(built.mean_edge_weight()));
-  EXPECT_EQ(loaded->stats().pruned_settles, built.stats().pruned_settles);
   for (NodeId v = 0; v < built.num_nodes(); ++v) {
     ASSERT_EQ(loaded->label_size(v), built.label_size(v)) << "node " << v;
     for (size_t i = 0; i < built.label_size(v); ++i) {
@@ -82,10 +79,8 @@ std::vector<uint8_t> OneNodeBlob(int hub_width, int len_width, int dist_width,
                                  uint64_t entries = 1) {
   BitWriter out;
   out.WriteBits(0x4c475344, 32);  // "DSGL"
-  out.WriteBits(2, 32);           // version
+  out.WriteBits(3, 32);           // version
   out.WriteBits(1, 64);           // nodes
-  out.WriteBits(std::bit_cast<uint64_t>(1.0), 64);  // mean edge weight
-  out.WriteBits(0, 64);                             // pruned settles
   out.WriteBits(entries, 64);
   out.WriteBits(static_cast<uint64_t>(hub_width), 8);
   out.WriteBits(static_cast<uint64_t>(len_width), 8);
@@ -283,9 +278,8 @@ TEST(HubLabelsTest, SerializeRoundTripsAndDecodesLazily) {
   ASSERT_NE(loaded, nullptr);
   EXPECT_FALSE(loaded->stale());
   // First use triggers the decode; thereafter the two instances agree
-  // everywhere, including the persisted planner seed.
+  // everywhere.
   ASSERT_TRUE(loaded->ready());
-  EXPECT_EQ(loaded->mean_edge_weight(), built->mean_edge_weight());
   EXPECT_EQ(loaded->stats().entries, built->stats().entries);
   for (const NodeId u : testing_util::SampleNodes(g, 6, 13)) {
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -391,8 +385,8 @@ TEST(HubLabelsTest, HostileHeadersAreRejected) {
   const std::vector<uint8_t> blob =
       HubLabels::Build(g, {}, nullptr)->Serialize();
   ASSERT_TRUE(DecodesWith(blob, {}));
-  EXPECT_FALSE(DecodesWith(blob, {{kVersionByte, 4, 1}}));
-  EXPECT_FALSE(DecodesWith(blob, {{kVersionByte, 4, 3}}));
+  EXPECT_FALSE(DecodesWith(blob, {{kVersionByte, 4, 2}}));
+  EXPECT_FALSE(DecodesWith(blob, {{kVersionByte, 4, 4}}));
 
   // Counts larger than the bits left. A decoder that allocated first would
   // abort (or throw) on them.

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <thread>
 
+#include "core/hub_labels.h"
 #include "core/signature_builder.h"
 #include "graph/graph_generator.h"
 #include "io/durable_index.h"
@@ -398,6 +399,34 @@ TEST_F(ServerFixture, UpdatesAreDurablyAckedWithWalSeq) {
   const Response refused = MustCall(update);
   EXPECT_EQ(refused.status, ResponseStatus::kError);
   EXPECT_EQ(updater_->next_seq(), 3u);
+}
+
+// kStats reports the label tier as it is when asked: an acknowledged update
+// trips the stale latch after startup, and the next report shows it.
+TEST_F(ServerFixture, StatsReportLabelsStaleAfterAnAckedUpdate) {
+  index_->set_hub_labels(HubLabels::Build(*graph_, {}, nullptr));
+  const Weight new_weight = graph_->edge_weight(0) + 1;
+  StartServer({});
+  Request stats;
+  stats.type = RequestType::kStats;
+  stats.id = 1;
+  const Response fresh = MustCall(stats);
+  EXPECT_NE(fresh.text.find("\"labels.stale\": 0"), std::string::npos)
+      << fresh.text;
+
+  Request update;
+  update.type = RequestType::kUpdate;
+  update.id = 2;
+  update.update_op = UpdateRecord::kSetEdgeWeight;
+  update.a = 0;
+  update.weight = new_weight;
+  ASSERT_EQ(MustCall(update).status, ResponseStatus::kOk);
+  ASSERT_TRUE(index_->hub_labels()->stale());
+
+  stats.id = 3;
+  const Response after = MustCall(stats);
+  EXPECT_NE(after.text.find("\"labels.stale\": 1"), std::string::npos)
+      << after.text;
 }
 
 // An AddEdge past the backtracking link's width is refused like any other
