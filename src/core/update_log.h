@@ -5,20 +5,22 @@
 // dies mid-rewrite. The durability protocol is the classic one: every
 // AddEdge/RemoveEdge/SetEdgeWeight is appended to this log (and optionally
 // fsync'd) *before* the in-memory index mutates, and periodic checkpoints
-// persist the full network+index with atomic temp+rename saves, after which
-// the log restarts from the checkpoint's sequence number. Recovery loads the
-// checkpoint the log's header names and replays the committed log tail.
+// persist the full network+index through util/binary_io's AtomicReplace,
+// after which the log restarts from the checkpoint's sequence number.
+// Recovery loads the checkpoint the log's header names and replays the
+// committed log tail. The log is one more file of that layer: it is written
+// by its BinaryWriter, read by its BinaryReader and encoded by its codec.
 //
-// On-disk format (little-endian, matching io/binary_io conventions):
+// On-disk format (little-endian):
 //
-//   header   magic "DSWL" (u32) · version (u32) · base_seq (u64) ·
-//            crc32c(preceding 16 bytes) (u32)
+//   header   one CRC section: magic "DSWL" (u32) · version (u32) ·
+//            base_seq (u64) · crc32c(preceding 16 bytes) (u32)
 //   record*  payload_len (u32) · crc32c(payload) (u32) · payload
 //   payload  op (u8) · a (u32) · b (u32) · weight (f64)
 //
 // Record i (0-based) carries implicit sequence number base_seq + i + 1. The
 // header is the commit record of the checkpoint at base_seq: a checkpoint
-// installs a fresh log by temp+rename, so a log never holds a record its
+// installs a fresh log by AtomicReplace, so a log never holds a record its
 // checkpoint already absorbed and recovery replays every committed record
 // (replaying an absorbed AddEdge would allocate a duplicate EdgeId and shift
 // every later id).
@@ -30,20 +32,19 @@
 // previous record. A checksum failure with more committed bytes *after* it
 // can only be bit rot, never a torn write, and fails with kCorruption.
 //
-// Errors are sticky, like BinaryWriter: the first failed append latches into
-// status() and every later append/sync refuses, so a caller can never commit
-// an update whose log record did not reach the file.
+// Errors are sticky, like BinaryWriter's: the first failed append latches
+// into status() and every later append/sync refuses, so a caller can never
+// commit an update whose log record did not reach the file.
 #ifndef DSIG_CORE_UPDATE_LOG_H_
 #define DSIG_CORE_UPDATE_LOG_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "graph/road_network.h"
-#include "util/fault_plan.h"
+#include "util/binary_io.h"
 #include "util/status.h"
 
 namespace dsig {
@@ -111,9 +112,9 @@ class UpdateLog {
   static constexpr uint64_t kPayloadBytes = 1 + 4 + 4 + 8;
   static constexpr uint64_t kFrameBytes = 4 + 4 + kPayloadBytes;
 
-  // Creates (or atomically replaces, via temp+rename) an empty log at `path`
-  // extending checkpoint `base_seq`, fsync'd before the rename so a crash at
-  // any byte leaves either the old log or a complete new one.
+  // Creates (or replaces, through AtomicReplace) an empty log at `path`
+  // extending checkpoint `base_seq`: a crash at any byte leaves either the
+  // old log or the complete new one.
   static Status Create(const std::string& path, uint64_t base_seq,
                        const WriteFaultPlan& faults = {});
 
@@ -123,46 +124,41 @@ class UpdateLog {
   static StatusOr<WalReplay> Replay(const std::string& path,
                                     const ReadFaultPlan& faults = {});
 
-  // Opens an existing log for appending: replays it, truncates any torn
-  // tail, and positions at the committed end.
+  // Opens an existing log for appending: replays it, then opens a
+  // BinaryWriter at the committed end, which truncates any torn tail.
   static StatusOr<std::unique_ptr<UpdateLog>> Open(
       const std::string& path, const WriteFaultPlan& faults = {});
 
-  ~UpdateLog();
   UpdateLog(const UpdateLog&) = delete;
   UpdateLog& operator=(const UpdateLog&) = delete;
 
-  // Appends one record frame (buffered). The injected fault plan is keyed on
-  // absolute log byte offsets and models a crash: bytes before `fail_at`
+  // Appends one record frame (buffered). The injected fault plan is the
+  // writer's, keyed on absolute log byte offsets: bytes before `fail_at`
   // reach the file, nothing at or after it does — so every-byte crash sweeps
   // can place the torn boundary anywhere inside a frame.
   Status Append(const UpdateRecord& record);
 
-  // Flushes stdio buffers and fsyncs the file. Durability point: a record is
-  // committed once Sync() returns OK after its Append.
+  // BinaryWriter::Sync, timed into wal.fsync_ms. Durability point: a record
+  // is committed once Sync() returns OK after its Append.
   Status Sync();
 
   // Flush + fsync + close; idempotent; returns the sticky status.
   Status Close();
 
-  const Status& status() const { return status_; }
+  const Status& status() const { return writer_->status(); }
   uint64_t base_seq() const { return base_seq_; }
   // Records in the log (existing committed + appended). The next record
   // appended gets sequence number base_seq() + record_count() + 1.
   uint64_t record_count() const { return record_count_; }
-  uint64_t bytes() const { return bytes_; }
+  // Absolute offset of the next byte to write.
+  uint64_t bytes() const { return writer_->position(); }
 
  private:
   UpdateLog() = default;
 
-  void WriteRaw(const void* data, size_t size);
-
-  std::FILE* file_ = nullptr;
-  Status status_;
+  std::unique_ptr<BinaryWriter> writer_;
   uint64_t base_seq_ = 0;
   uint64_t record_count_ = 0;
-  uint64_t bytes_ = 0;  // absolute offset of the next byte to write
-  WriteFaultPlan fault_plan_;
 };
 
 }  // namespace dsig

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
+#include <filesystem>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "util/random.h"
@@ -50,6 +51,17 @@ Status CheckReplayable(const UpdateRecord& record, const RoadNetwork& graph,
     }
   }
   return Status::Ok();
+}
+
+// What a commit at `live_seq` supersedes: every checkpoint file but the
+// live pair (the previous pair, or one orphaned by a crash before an
+// earlier commit or by a remove a power loss undid) and any leftover temp.
+bool IsSuperseded(const std::string& name, uint64_t live_seq) {
+  const std::string live = "." + std::to_string(live_seq) + ".ckpt";
+  if (name == "network" + live || name == "index" + live) return false;
+  return name.ends_with(".ckpt.tmp") || name == "wal.log.tmp" ||
+         ((name.starts_with("network.") || name.starts_with("index.")) &&
+          name.ends_with(".ckpt"));
 }
 
 }  // namespace
@@ -202,7 +214,7 @@ Status DurableUpdater::Checkpoint() {
 
   // Until the new WAL's rename, the previous checkpoint + the still-open
   // old log stay authoritative: failures are reported, not latched, and are
-  // safely retryable. Each step is all-or-nothing (temp + rename), so a
+  // safely retryable. Each step is all-or-nothing (AtomicReplace), so a
   // retry never sees a partial file from the previous attempt, and a pair
   // orphaned by a failed attempt is overwritten by the next one at `seq`.
   WriteFaultPlan faults = options_.checkpoint_faults;
@@ -218,7 +230,15 @@ Status DurableUpdater::Checkpoint() {
       saved = UpdateLog::Create(WalPath(dir_), seq, options_.wal_faults);
     }
     if (saved.ok()) break;
-    if (attempt >= options_.ckpt_retries) return saved;
+    if (attempt >= options_.ckpt_retries) {
+      // Only a failed directory fsync comes after the new log's rename. If
+      // the log on disk names `seq`, appends to the open one would be lost.
+      const auto on_disk = UpdateLog::Replay(WalPath(dir_));
+      if (!on_disk.ok() || on_disk->base_seq != checkpoint_seq_) {
+        status_ = saved;
+      }
+      return saved;
+    }
     CheckpointRetryCounter()->Add(1);
     if (options_.checkpoint_faults_transient) faults = WriteFaultPlan{};
     const double backoff_ms = kCkptRetryBackoffMs *
@@ -228,8 +248,9 @@ Status DurableUpdater::Checkpoint() {
         std::chrono::duration<double, std::milli>(backoff_ms));
   }
 
-  // Committed: the new log names the new pair. Move appends to it.
-  const uint64_t old_seq = checkpoint_seq_;
+  // Committed: the new log names the new pair, and its AtomicReplace has
+  // fsync'd the directory. Move appends to it, then delete what it
+  // superseded.
   checkpoint_seq_ = seq;
   CheckpointCounter()->Add(1);
   wal_->Close();
@@ -240,10 +261,13 @@ Status DurableUpdater::Checkpoint() {
     status_ = reopened;
     return status_;
   }
-  if (old_seq != seq) {
-    std::remove(NetworkCheckpointPath(dir_, old_seq).c_str());
-    std::remove(IndexCheckpointPath(dir_, old_seq).c_str());
+  std::vector<std::string> superseded;
+  std::error_code error;  // best effort: the next commit sweeps again
+  for (const auto& entry : std::filesystem::directory_iterator(dir_, error)) {
+    const std::string name = entry.path().filename().string();
+    if (IsSuperseded(name, seq)) superseded.push_back(entry.path().string());
   }
+  for (const std::string& path : superseded) RemoveFile(path);
   return Status::Ok();
 }
 

@@ -6,18 +6,20 @@
 //
 //   apply      append the record to the WAL (fsync per sync policy) and only
 //              then mutate the index through SignatureUpdater.
-//   checkpoint persist network.<seq>.ckpt + index.<seq>.ckpt with the atomic
-//              temp+rename saves from persistence.h, commit them by renaming
-//              a fresh WAL with base_seq = seq over wal.log, then move
-//              appends to it and delete the superseded checkpoint pair.
+//   checkpoint persist network.<seq>.ckpt + index.<seq>.ckpt, commit them by
+//              replacing wal.log with a fresh log whose base_seq = seq (all
+//              three through util/binary_io's AtomicReplace: temp, fsync,
+//              rename, directory fsync), then move appends to it and delete
+//              every other pair and any leftover temp.
 //   recover    read the WAL header, load the checkpoint pair its base_seq
 //              names, rebuild the spanning forest and replay every committed
 //              record.
 //
 // The WAL header is the only commit record: the rename that installs a new
 // log is the commit point of every checkpoint, so the log and the pair it
-// names change together. A crash at any byte of the protocol recovers to
-// either the old checkpoint + full old log or the new checkpoint + new log.
+// names change together. A crash at any byte, or a power loss after any
+// durable step (tests/power_loss_test.cc), recovers to either the old
+// checkpoint + full old log or the new checkpoint + new log.
 // Failure handling mirrors UpdateLog: WAL-side errors are sticky (an update
 // whose log record may not be durable must not be applied), while a
 // checkpoint that fails before the rename leaves the previous checkpoint +
@@ -131,9 +133,9 @@ class DurableUpdater {
 
   // Persists the current state and restarts the WAL. Callable any time the
   // writer is quiesced. A failure up to the new WAL's rename leaves the old
-  // checkpoint + WAL fully authoritative (not sticky); failing to open the
-  // committed log after it is sticky, because the next Apply could not be
-  // logged.
+  // checkpoint + WAL fully authoritative (not sticky); a failure after it
+  // (the directory fsync, or opening the committed log) is sticky, because
+  // the next Apply could not be logged where recovery reads.
   Status Checkpoint();
 
   // Flushes and closes the WAL (idempotent). Further Applies refuse.

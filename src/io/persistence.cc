@@ -1,8 +1,6 @@
 #include "io/persistence.h"
 
 #include <cmath>
-#include <cstdio>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -27,35 +25,11 @@ Status Corrupt(const std::string& path, const std::string& detail) {
   return Status::Corruption(path + ": " + detail);
 }
 
-// Every save goes through here: the body writes into `<path>.tmp`, and the
-// temp file is renamed over `path` only after a clean flush + close. A save
-// that fails half-way (full disk, injected fault) leaves any existing file at
-// `path` untouched and removes the temp.
-Status AtomicSave(const std::string& path, const SaveOptions& options,
-                  const std::function<void(BinaryWriter&)>& body) {
-  const std::string temp = path + ".tmp";
-  {
-    BinaryWriter writer(temp);
-    writer.InjectFaults(options.faults);
-    if (writer.ok()) body(writer);
-    const Status status = writer.Close();
-    if (!status.ok()) {
-      std::remove(temp.c_str());
-      return status;
-    }
-  }
-  if (std::rename(temp.c_str(), path.c_str()) != 0) {
-    std::remove(temp.c_str());
-    return Status::IoError("cannot rename " + temp + " over " + path);
-  }
-  return Status::Ok();
-}
-
 // The footer pins down the total payload length (everything before the
 // footer), so a file truncated at a section boundary — where every section
 // checksum still verifies — is still rejected.
 void WriteFooter(BinaryWriter& writer) {
-  const uint64_t payload_bytes = writer.bytes_written();
+  const uint64_t payload_bytes = writer.position();
   writer.BeginSection();
   writer.WriteU32(kFooterMagic);
   writer.WriteU64(payload_bytes);
@@ -104,7 +78,7 @@ Status SaveRoadNetwork(const RoadNetwork& graph, const std::string& path,
   static obs::Histogram* const save_ms =
       obs::MetricsRegistry::Global().GetHistogram("persist.save_network_ms");
   const obs::ScopedTimer timer(save_ms);
-  return AtomicSave(path, options, [&graph](BinaryWriter& writer) {
+  return AtomicReplace(path, options.faults, [&graph](BinaryWriter& writer) {
     writer.WriteU32(kNetworkMagic);
     writer.WriteU32(kVersion);
 
@@ -203,7 +177,7 @@ Status SaveSignatureIndex(const SignatureIndex& index, const std::string& path,
   static obs::Histogram* const save_ms =
       obs::MetricsRegistry::Global().GetHistogram("persist.save_index_ms");
   const obs::ScopedTimer timer(save_ms);
-  return AtomicSave(path, options, [&index](BinaryWriter& writer) {
+  return AtomicReplace(path, options.faults, [&index](BinaryWriter& writer) {
     writer.WriteU32(kIndexMagic);
     writer.WriteU32(kVersion);
 

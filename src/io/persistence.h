@@ -11,8 +11,10 @@
 //     payload length, so truncation and bit rot are caught at load time.
 //   * Every length field is validated against the bytes actually remaining
 //     before any allocation.
-//   * Saves write to `<path>.tmp` and rename into place only after a clean
-//     flush+close, so a failed save never clobbers a good file.
+//   * Saves go through util/binary_io's AtomicReplace: `<path>.tmp` is
+//     written, fsync'd and renamed into place, then the directory is
+//     fsync'd, so a failed save never clobbers a good file and a finished
+//     one survives a power loss.
 //   * LoadOptions::verify additionally runs SignatureIndex::Verify() — the
 //     deep invariant check (link chains, categories, compression rule) — for
 //     paranoid deployments.
@@ -32,7 +34,7 @@
 
 #include "core/signature_index.h"
 #include "graph/road_network.h"
-#include "io/binary_io.h"
+#include "util/binary_io.h"
 #include "util/status.h"
 
 namespace dsig {
@@ -54,7 +56,7 @@ struct LoadOptions {
 // --- road networks --------------------------------------------------------
 
 // Writes the network (positions, edges incl. tombstones, weights) to `path`
-// via temp-file-and-rename.
+// through AtomicReplace.
 Status SaveRoadNetwork(const RoadNetwork& graph, const std::string& path,
                        const SaveOptions& options = {});
 

@@ -37,12 +37,12 @@ namespace dsig {
      CPU for the affected rows. */                                          \
   X(decode_fallbacks,                                                        \
     "rows recomputed by bounded Dijkstra after decode failure")              \
-  /* Exact-distance routing (query/planner.h): how many exact values the    \
-     hub-label tier answered, and how many label-eligible requests the      \
-     planner demoted to chasing/Dijkstra (stale latch, force-off pin, or    \
-     a blob that does not decode). */                                       \
+  /* Exact-distance routing (query/planner.h), both in distances: how many  \
+     exact values the hub-label tier answered, and how many label-eligible  \
+     ones (a tier is attached) the planner demoted to chasing/Dijkstra      \
+     (stale latch, force-off pin, or a blob that does not decode). */       \
   X(label_distances, "exact distances answered by the hub-label tier")       \
-  X(label_demotions, "label-eligible requests routed to chase/Dijkstra")
+  X(label_demotions, "label-eligible distances routed to chase/Dijkstra")
 
 struct OpCounters {
 #define DSIG_OP_COUNTER_DECLARE(field, comment) uint64_t field = 0;

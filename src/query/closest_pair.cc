@@ -78,6 +78,10 @@ ClosestPairResult SignatureClosestPair(const SignatureIndex& left,
         }
         continue;
       }
+      // Chase route: a label-eligible distance when a tier is attached.
+      if (right.hub_labels() != nullptr) {
+        ++GlobalOpCounters().label_demotions;
+      }
       const SignatureEntry initial = stage.entry(b);
       RetrievalCursor cursor(&right, node_a, b, &initial);
       // Refine only until the pair provably loses to the incumbent.

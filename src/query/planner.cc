@@ -27,11 +27,13 @@ bool ForceNoLabelsEnv() {
   return forced;
 }
 
-// Demotion accounting: a request was label-eligible (a tier is attached)
-// but the tier could not answer it — stale latch, force-off pin, or decode
-// failure.
-void CountDemotion(const SignatureIndex& index) {
-  if (index.hub_labels() != nullptr) ++GlobalOpCounters().label_demotions;
+// Demotion accounting, in label_distances' unit: `distances` exact values
+// were label-eligible (a tier is attached) but the tier could not answer
+// them — stale latch, force-off pin, or decode failure.
+void CountDemotions(const SignatureIndex& index, uint64_t distances) {
+  if (index.hub_labels() != nullptr) {
+    GlobalOpCounters().label_demotions += distances;
+  }
 }
 
 }  // namespace
@@ -53,7 +55,7 @@ Weight RoutedObjectDistance(const SignatureIndex& index, NodeId n,
     ++GlobalOpCounters().label_distances;
     return index.hub_labels()->Distance(n, index.object_node(object));
   }
-  CountDemotion(index);
+  CountDemotions(index, 1);
   RetrievalCursor cursor(&index, n, object, initial);
   return cursor.RetrieveExact();
 }
@@ -62,7 +64,7 @@ void RoutedSortByDistance(const SignatureIndex& index, NodeId n,
                           const RowStage& stage,
                           std::vector<uint32_t>* objects) {
   if (!LabelsUsable(index)) {
-    CountDemotion(index);
+    CountDemotions(index, objects->size());
     SortByDistance(index, n, stage, objects);
     return;
   }

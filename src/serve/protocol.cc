@@ -1,26 +1,26 @@
 #include "serve/protocol.h"
 
-#include <cstring>
+#include <bit>
+
+#include "util/binary_io.h"
 
 namespace dsig {
 namespace serve {
 namespace {
 
-// Little-endian scalar writers/readers, matching io/binary_io conventions.
-void PutU8(std::vector<uint8_t>* out, uint8_t v) { out->push_back(v); }
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+// Scalar writers and a bounds-checked reader over util/binary_io's
+// little-endian codec, the one every persisted format uses.
+template <typename T>
+void Append(std::vector<uint8_t>* out, T v) {
+  out->resize(out->size() + sizeof(T));
+  StoreLE(out->data() + out->size() - sizeof(T), v);
 }
 
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void PutF64(std::vector<uint8_t>* out, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
+void AppendU8(std::vector<uint8_t>* out, uint8_t v) { Append(out, v); }
+void AppendU32(std::vector<uint8_t>* out, uint32_t v) { Append(out, v); }
+void AppendU64(std::vector<uint8_t>* out, uint64_t v) { Append(out, v); }
+void AppendF64(std::vector<uint8_t>* out, double v) {
+  Append(out, std::bit_cast<uint64_t>(v));
 }
 
 // Cursor over an untrusted payload: every read is bounds-checked.
@@ -28,31 +28,20 @@ class Reader {
  public:
   Reader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
 
-  bool ReadU8(uint8_t* v) {
-    if (pos_ + 1 > size_) return false;
-    *v = data_[pos_++];
+  template <typename T>
+  bool Read(T* v) {
+    if (pos_ + sizeof(T) > size_) return false;
+    *v = LoadLE<T>(data_ + pos_);
+    pos_ += sizeof(T);
     return true;
   }
-  bool ReadU32(uint32_t* v) {
-    if (pos_ + 4 > size_) return false;
-    uint32_t r = 0;
-    for (int i = 3; i >= 0; --i) r = r << 8 | data_[pos_ + i];
-    pos_ += 4;
-    *v = r;
-    return true;
-  }
-  bool ReadU64(uint64_t* v) {
-    if (pos_ + 8 > size_) return false;
-    uint64_t r = 0;
-    for (int i = 7; i >= 0; --i) r = r << 8 | data_[pos_ + i];
-    pos_ += 8;
-    *v = r;
-    return true;
-  }
+  bool ReadU8(uint8_t* v) { return Read(v); }
+  bool ReadU32(uint32_t* v) { return Read(v); }
+  bool ReadU64(uint64_t* v) { return Read(v); }
   bool ReadF64(double* v) {
     uint64_t bits;
     if (!ReadU64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof(*v));
+    *v = std::bit_cast<double>(bits);
     return true;
   }
   size_t remaining() const { return size_ - pos_; }
@@ -68,17 +57,14 @@ class Reader {
 // Reserves the 8-byte frame header, returning the offset where the payload
 // starts so FinishFrame can backfill the length.
 size_t BeginFrame(std::vector<uint8_t>* out) {
-  PutU32(out, kFrameMagic);
-  PutU32(out, 0);  // payload_len, patched by FinishFrame
+  AppendU32(out, kFrameMagic);
+  AppendU32(out, 0);  // payload_len, patched by FinishFrame
   return out->size();
 }
 
 void FinishFrame(std::vector<uint8_t>* out, size_t payload_start) {
-  const uint32_t len = static_cast<uint32_t>(out->size() - payload_start);
-  (*out)[payload_start - 4] = static_cast<uint8_t>(len);
-  (*out)[payload_start - 3] = static_cast<uint8_t>(len >> 8);
-  (*out)[payload_start - 2] = static_cast<uint8_t>(len >> 16);
-  (*out)[payload_start - 1] = static_cast<uint8_t>(len >> 24);
+  StoreLE(out->data() + payload_start - 4,
+          static_cast<uint32_t>(out->size() - payload_start));
 }
 
 }  // namespace
@@ -118,13 +104,10 @@ const char* DegradationName(Degradation degradation) {
 
 Status CheckFrameHeader(const uint8_t header[kFrameHeaderBytes],
                         uint32_t* payload_len) {
-  uint32_t magic = 0;
-  for (int i = 3; i >= 0; --i) magic = magic << 8 | header[i];
-  if (magic != kFrameMagic) {
+  if (LoadLE<uint32_t>(header) != kFrameMagic) {
     return Status::Corruption("bad frame magic");
   }
-  uint32_t len = 0;
-  for (int i = 3; i >= 0; --i) len = len << 8 | header[4 + i];
+  const uint32_t len = LoadLE<uint32_t>(header + 4);
   if (len > kMaxFrameBytes) {
     return Status::Corruption("frame length " + std::to_string(len) +
                               " exceeds limit");
@@ -135,19 +118,19 @@ Status CheckFrameHeader(const uint8_t header[kFrameHeaderBytes],
 
 void EncodeRequest(const Request& request, std::vector<uint8_t>* out) {
   const size_t payload = BeginFrame(out);
-  PutU8(out, static_cast<uint8_t>(request.type));
-  PutU64(out, request.id);
-  PutF64(out, request.deadline_ms);
-  PutU32(out, request.node);
-  PutU32(out, request.k);
-  PutU8(out, request.knn_type);
-  PutF64(out, request.epsilon);
-  PutU8(out, request.update_op);
-  PutU32(out, request.a);
-  PutU32(out, request.b);
-  PutF64(out, request.weight);
-  PutU64(out, request.trace_id);
-  PutU32(out, request.tenant_id);
+  AppendU8(out, static_cast<uint8_t>(request.type));
+  AppendU64(out, request.id);
+  AppendF64(out, request.deadline_ms);
+  AppendU32(out, request.node);
+  AppendU32(out, request.k);
+  AppendU8(out, request.knn_type);
+  AppendF64(out, request.epsilon);
+  AppendU8(out, request.update_op);
+  AppendU32(out, request.a);
+  AppendU32(out, request.b);
+  AppendF64(out, request.weight);
+  AppendU64(out, request.trace_id);
+  AppendU32(out, request.tenant_id);
   FinishFrame(out, payload);
 }
 
@@ -179,32 +162,32 @@ StatusOr<Request> DecodeRequest(const uint8_t* payload, size_t size) {
 
 void EncodeResponse(const Response& response, std::vector<uint8_t>* out) {
   const size_t payload = BeginFrame(out);
-  PutU64(out, response.id);
-  PutU8(out, static_cast<uint8_t>(response.status));
-  PutU8(out, static_cast<uint8_t>(response.degradation));
-  PutF64(out, response.retry_after_ms);
+  AppendU64(out, response.id);
+  AppendU8(out, static_cast<uint8_t>(response.status));
+  AppendU8(out, static_cast<uint8_t>(response.degradation));
+  AppendF64(out, response.retry_after_ms);
 
-  PutU32(out, static_cast<uint32_t>(response.objects.size()));
-  for (const uint32_t o : response.objects) PutU32(out, o);
-  PutU32(out, static_cast<uint32_t>(response.distances.size()));
-  for (const double d : response.distances) PutF64(out, d);
-  PutU32(out, static_cast<uint32_t>(response.pair_left.size()));
+  AppendU32(out, static_cast<uint32_t>(response.objects.size()));
+  for (const uint32_t o : response.objects) AppendU32(out, o);
+  AppendU32(out, static_cast<uint32_t>(response.distances.size()));
+  for (const double d : response.distances) AppendF64(out, d);
+  AppendU32(out, static_cast<uint32_t>(response.pair_left.size()));
   for (size_t i = 0; i < response.pair_left.size(); ++i) {
-    PutU32(out, response.pair_left[i]);
-    PutU32(out, response.pair_right[i]);
+    AppendU32(out, response.pair_left[i]);
+    AppendU32(out, response.pair_right[i]);
   }
 
-  PutU64(out, response.update_seq);
-  PutU64(out, response.rows_rewritten);
-  PutU64(out, response.num_nodes);
-  PutU64(out, response.num_objects);
-  PutF64(out, response.suggested_epsilon);
+  AppendU64(out, response.update_seq);
+  AppendU64(out, response.rows_rewritten);
+  AppendU64(out, response.num_nodes);
+  AppendU64(out, response.num_objects);
+  AppendF64(out, response.suggested_epsilon);
 
-  PutU32(out, static_cast<uint32_t>(response.text.size()));
+  AppendU32(out, static_cast<uint32_t>(response.text.size()));
   out->insert(out->end(), response.text.begin(), response.text.end());
 
-  PutU64(out, response.trace_id);
-  PutU32(out, response.tenant_id);
+  AppendU64(out, response.trace_id);
+  AppendU32(out, response.tenant_id);
   FinishFrame(out, payload);
 }
 

@@ -5,8 +5,8 @@
 //
 //   magic (u32, "DSRV") · payload_len (u32) · payload
 //
-// and payloads are flat little-endian structs (PutU32/PutF64 style, matching
-// io/binary_io conventions). Each message type has one fixed layout: every
+// and payloads are flat little-endian structs (util/binary_io's codec, the
+// one the persisted files use). Each message type has one fixed layout: every
 // field below is always on the wire, in declaration order, and a decoder
 // rejects a payload that ends early or runs on past the last field as
 // kCorruption. There is no version byte: the magic plus the exact length

@@ -1,9 +1,10 @@
-// Deterministic I/O fault plans shared by every file-touching layer
-// (io/binary_io, core/update_log): corruption tests describe *where* a read
-// or write must fail, and the layer under test injects the fault beneath its
-// own checksum/validation machinery — exactly as a failing disk or torn
-// write would present it. Lives in util so core code (the write-ahead update
-// log) can use the plans without depending on the io layer.
+// Deterministic I/O fault plans for util/binary_io's BinaryWriter and
+// BinaryReader, the one write path and the one read path of every durable
+// file (checkpoints, the write-ahead log, dsig_tool's saves): corruption
+// tests describe *where* a read or write must fail, and the layer injects
+// the fault beneath its checksum/validation machinery — exactly as a failing
+// disk or torn write would present it. serve/net.h's socket fault plan
+// mirrors these for connections.
 #ifndef DSIG_UTIL_FAULT_PLAN_H_
 #define DSIG_UTIL_FAULT_PLAN_H_
 
@@ -23,11 +24,11 @@ struct ReadFaultPlan {
   uint64_t fail_at = kNoFault;      // hard I/O error when reading this byte
 };
 
-// Deterministic write failure (e.g. a full disk after N bytes, or a process
-// killed mid-write: everything before `fail_at` reaches the file, nothing
-// after).
+// Deterministic write failure (a full disk after N bytes, or a process
+// killed mid-write): the bytes before `fail_at` reach the file and are
+// flushed, nothing at or after it does, and the write that reaches it fails.
 struct WriteFaultPlan {
-  uint64_t fail_at = kNoFault;  // writes reaching this byte offset fail
+  uint64_t fail_at = kNoFault;  // absolute byte offset
 };
 
 }  // namespace dsig

@@ -5,15 +5,16 @@
 #include <cstdio>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/distance_ops.h"
 #include "core/hub_labels.h"
 #include "core/signature_builder.h"
 #include "core/update.h"
 #include "graph/graph_generator.h"
-#include "io/binary_io.h"
 #include "query/knn_query.h"
 #include "tests/test_util.h"
+#include "util/binary_io.h"
 #include "workload/dataset_generator.h"
 
 namespace dsig {
@@ -148,6 +149,50 @@ TEST(RoadNetworkPersistenceTest, FailedResaveKeepsTheOldFileLoadable) {
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ((*loaded)->num_nodes(), graph.num_nodes());
   EXPECT_FALSE(FileExists(path + ".tmp"));
+}
+
+// The network format's bytes, pinned (a codec change made on both sides
+// would still round-trip): three nodes, two edges.
+TEST(RoadNetworkPersistenceTest, OnDiskBytesAreStable) {
+  RoadNetwork graph;
+  graph.AddNode({0, 0});
+  graph.AddNode({1, 0});
+  graph.AddNode({1, 1});
+  graph.AddEdge(0, 1, 1.0);
+  graph.AddEdge(1, 2, 2.5);
+  const std::string path = TempPath("bytes.net");
+  ASSERT_TRUE(SaveRoadNetwork(graph, path).ok());
+
+  const std::vector<uint8_t> expected = {
+      // "DSGN", version 2
+      0x44, 0x53, 0x47, 0x4e, 0x02, 0x00, 0x00, 0x00,  //
+      // node section: count 3, (x, y) per node, crc32c
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f,  //
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f,  //
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f,  //
+      0x44, 0xf9, 0x00, 0x87,                          //
+      // edge section: count 2, (u, v, weight, removed) per edge, crc32c
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //
+      0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,  //
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f,  //
+      0x00, 0x00, 0x00, 0x00,                          //
+      0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,  //
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x40,  //
+      0x00, 0x00, 0x00, 0x00,                          //
+      0x23, 0x5e, 0x32, 0x5b,                          //
+      // footer: "DSGF", payload bytes 120, crc32c
+      0x44, 0x53, 0x47, 0x46, 0x78, 0x00, 0x00, 0x00,  //
+      0x00, 0x00, 0x00, 0x00, 0x4e, 0x6d, 0xe5, 0x6d};
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::vector<uint8_t> bytes(expected.size() + 1);
+  bytes.resize(std::fread(bytes.data(), 1, bytes.size(), f));
+  std::fclose(f);
+  EXPECT_EQ(bytes, expected);
 }
 
 TEST(SignatureIndexPersistenceTest, RoundTripPreservesEverything) {

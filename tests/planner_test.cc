@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "core/hub_labels.h"
@@ -129,6 +131,65 @@ TEST(PlannerTest, RouteCountersChargeTheRouteTaken) {
   EXPECT_EQ(d, 0);
   EXPECT_EQ(GlobalOpCounters().label_distances, 1u);
   EXPECT_EQ(GlobalOpCounters().label_demotions, 0u);
+}
+
+// Both label counters count exact distances, so planner.label_share is one
+// unit: a demoted sort over N objects adds N demotions, a demoted closest
+// pair one per refined pair, and on fresh labels the same calls add the
+// same counts as label_distances.
+TEST(PlannerTest, LabelCountersCountDistancesOnEveryRoute) {
+  const RoadNetwork g = MakeRandomPlanar({.num_nodes = 300, .seed = 41});
+  const std::vector<NodeId> left_objects = UniformDataset(g, 0.05, 41);
+  std::vector<NodeId> right_objects;
+  for (const NodeId n : UniformDataset(g, 0.08, 42)) {
+    if (std::find(left_objects.begin(), left_objects.end(), n) ==
+        left_objects.end()) {
+      right_objects.push_back(n);
+    }
+  }
+  const auto left = BuildSignatureIndex(g, left_objects, {.t = 5, .c = 2});
+  const auto right = BuildWithLabels(g, right_objects);
+  const NodeId n = 17;
+  static thread_local RowStage stage;
+  std::vector<uint32_t> all(right->num_objects());
+  std::iota(all.begin(), all.end(), 0);
+
+  struct Counts {
+    uint64_t distances, demotions, sorted, refined;
+  };
+  const auto run = [&] {
+    Counts c{};
+    ResetOpCounters();
+    std::vector<uint32_t> objects = all;
+    right->ReadRowStaged(n, &stage);
+    RoutedSortByDistance(*right, n, stage, &objects);
+    c.sorted = objects.size();
+    c.refined = SignatureClosestPair(*left, *right).refined;
+    c.distances = GlobalOpCounters().label_distances;
+    c.demotions = GlobalOpCounters().label_demotions;
+    return c;
+  };
+
+  if (!LabelRoutePinnedOff()) {
+    const Counts fresh = run();
+    ASSERT_GT(fresh.refined, 0u);
+    EXPECT_EQ(fresh.distances, fresh.sorted + fresh.refined);
+    EXPECT_EQ(fresh.demotions, 0u);
+  }
+  Counts pinned;
+  {
+    NoLabelsOverride off;
+    pinned = run();
+  }
+  ASSERT_GT(pinned.refined, 0u);
+  EXPECT_EQ(pinned.distances, 0u);
+  EXPECT_EQ(pinned.demotions, pinned.sorted + pinned.refined);
+
+  right->InvalidateHubLabels();
+  const Counts stale = run();
+  EXPECT_EQ(stale.distances, 0u);
+  EXPECT_EQ(stale.demotions, stale.sorted + stale.refined);
+  EXPECT_EQ(stale.refined, pinned.refined);
 }
 
 // The headline acceptance check: every query family's results are

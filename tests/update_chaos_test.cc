@@ -276,6 +276,62 @@ TEST(UpdateChaosTest, CrashBeforeWalRenameReplaysTheOldLog) {
   ExpectIndexMatchesRebuild(*again->graph, corpus.objects, *again->index);
 }
 
+// The same crash window, but the next checkpoint lands on another seq: the
+// orphaned pair must not outlive it. After a commit the directory holds the
+// new log and the one pair it names, whatever earlier crashes left behind.
+TEST(UpdateChaosTest, CheckpointRemovesAnOrphanAtAnotherSeq) {
+  const ChaosCorpus corpus = MakeChaosCorpus();
+  const std::string dir = TempDir("chaos_orphan");
+  const std::string aside = TempDir("chaos_orphan_aside");
+  RoadNetwork g = MakeChaosGraph();
+  auto index = BuildSignatureIndex(g, corpus.objects, {.t = 5, .c = 2});
+
+  auto live = DurableUpdater::Initialize(dir, &g, index.get(), {});
+  ASSERT_TRUE(live.ok()) << live.status();
+  for (const UpdateRecord& record : corpus.script) {
+    ASSERT_TRUE((*live)->Apply(record).ok());
+  }
+  const std::vector<std::string> old_files = {
+      DurableUpdater::WalPath(dir),
+      DurableUpdater::NetworkCheckpointPath(dir, 0),
+      DurableUpdater::IndexCheckpointPath(dir, 0)};
+  for (const std::string& file : old_files) {
+    std::filesystem::copy_file(
+        file, aside / std::filesystem::path(file).filename());
+  }
+  ASSERT_TRUE((*live)->Checkpoint().ok());
+  (*live)->Close();
+  live->reset();
+  index.reset();
+  for (const std::string& file : old_files) {
+    std::filesystem::copy_file(
+        aside / std::filesystem::path(file).filename(), file,
+        std::filesystem::copy_options::overwrite_existing);
+  }
+  const uint64_t orphan = corpus.script.size();
+  ASSERT_TRUE(std::filesystem::exists(
+      DurableUpdater::IndexCheckpointPath(dir, orphan)));
+
+  auto recovered = DurableUpdater::Recover(dir);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  ASSERT_EQ(recovered->updater->checkpoint_seq(), 0u);
+  ASSERT_TRUE(recovered->updater->AddEdge(0, 7, 3).ok());
+  ASSERT_TRUE(recovered->updater->Checkpoint().ok());
+  const uint64_t seq = orphan + 1;
+  EXPECT_EQ(recovered->updater->checkpoint_seq(), seq);
+  recovered->updater->Close();
+
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.push_back(entry.path().filename().string());
+  }
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{
+                       "index." + std::to_string(seq) + ".ckpt",
+                       "network." + std::to_string(seq) + ".ckpt",
+                       "wal.log"}));
+}
+
 TEST(UpdateChaosTest, AutoCheckpointFiresOnInterval) {
   const ChaosCorpus corpus = MakeChaosCorpus();
   const std::string dir = TempDir("chaos_auto");

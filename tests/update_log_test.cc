@@ -264,6 +264,39 @@ TEST(UpdateLogTest, HeaderAndFrameDamageFailTyped) {
   EXPECT_EQ(UpdateLog::Replay(path).status().code(), StatusCode::kCorruption);
 }
 
+// The format's bytes, pinned: a codec change made on both the write and the
+// read side would still round-trip, so no other test would notice it.
+TEST(UpdateLogTest, OnDiskBytesAreStable) {
+  const std::string path = TempPath("wal_bytes.wal");
+  ASSERT_TRUE(UpdateLog::Create(path, 42).ok());
+  {
+    auto log = UpdateLog::Open(path);
+    ASSERT_TRUE(log.ok());
+    const std::vector<UpdateRecord> stream = ScriptedStream();
+    for (size_t i = 0; i < 3; ++i) ASSERT_TRUE((*log)->Append(stream[i]).ok());
+    ASSERT_TRUE((*log)->Close().ok());
+  }
+  const std::vector<uint8_t> expected = {
+      // header: "DSWL", version 1, base_seq 42, crc32c of those 16 bytes
+      0x44, 0x53, 0x57, 0x4c, 0x01, 0x00, 0x00, 0x00,  //
+      0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //
+      0x4e, 0x43, 0xca, 0x91,                          //
+      // Add(3, 7, 1.5): length 17, crc32c, op, a, b, weight
+      0x11, 0x00, 0x00, 0x00, 0x86, 0xab, 0xda, 0xb7, 0x01,  //
+      0x03, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00,        //
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f,        //
+      // SetWeight(0, 2.25)
+      0x11, 0x00, 0x00, 0x00, 0x5a, 0xea, 0xfe, 0x5c, 0x03,  //
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,        //
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x40,        //
+      // Remove(2)
+      0x11, 0x00, 0x00, 0x00, 0x5a, 0x76, 0xd0, 0x84, 0x02,  //
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,        //
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+  ASSERT_EQ(expected.size(), 95u);
+  EXPECT_EQ(ReadFile(path), expected);
+}
+
 TEST(UpdateLogTest, ApplyToReproducesEdgeIdsAndRejectsNonsense) {
   RoadNetwork graph;
   for (int i = 0; i < 4; ++i) graph.AddNode({});
